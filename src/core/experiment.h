@@ -33,8 +33,8 @@ struct Scenario {
   std::shared_ptr<const workload::Workload> replay;
   /// Streaming replay ("trace:file=PATH,stream=1"): like `replay`, but
   /// only the catalog stays resident; request records re-stream from
-  /// disk chunk-wise inside each simulation (O(chunk) memory for
-  /// multi-GB traces). At most one of `replay`/`stream` is set; results
+  /// disk chunk-wise, once per lockstep group of simulations (O(chunk)
+  /// memory for multi-GB traces). At most one of `replay`/`stream` is set; results
   /// are field-identical between the two.
   std::shared_ptr<const workload::RequestStream> stream;
 };
@@ -95,10 +95,10 @@ struct ExperimentConfig {
   bool share_path_models = true;
   /// How per-(alpha, run) workloads reach the simulations: materialized
   /// request vectors (O(num_requests) memory each) or regenerating
-  /// streams (O(stream_chunk) memory; each simulation re-derives the
-  /// byte-identical sequence from the shared per-(alpha, run) RNG
-  /// snapshot). kAuto streams above workload::kAutoStreamThreshold
-  /// requests. Results are bit-identical across all three modes.
+  /// streams (O(stream_chunk) memory; each lockstep group of
+  /// simulations re-derives the byte-identical sequence once from the
+  /// shared per-(alpha, run) RNG snapshot, see core/sweep.h). kAuto
+  /// streams above workload::kAutoStreamThreshold requests. Results are bit-identical across all three modes.
   workload::StreamingMode streaming = workload::StreamingMode::kAuto;
 };
 

@@ -1,5 +1,6 @@
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -48,63 +49,112 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
   return out;
 }
 
-/// One simulation over an already-built request stream. A pure function
-/// of (stream, seeds, config): safe to run from any thread in any order
-/// (cursors carry all iteration state, so concurrent simulations can
-/// share one stream). `path_model` may be null, in which case the
-/// engine draws its own (bit-identical by the PathModel RNG-snapshot
-/// contract). `arena` is the executing worker's private engine cache:
-/// the monomorphized path reuses its components and run state across
-/// every simulation the worker executes (`sim_config.path_config.mode`
-/// was already resolved against the scenario by SweepRunner::run).
-/// Out-of-table specs and monomorphize == false take the
-/// virtual-fallback Simulator, fresh construction per simulation,
-/// exactly as before arenas existed.
-RunOutcome simulate_one(const workload::RequestStream& stream,
-                        const Scenario& scenario,
-                        const sim::SimulationConfig& sim_config,
-                        std::uint64_t path_seed,
-                        std::shared_ptr<const net::PathModel> path_model,
-                        sim::SimulationArena& arena,
-                        const fleet::FleetConfig* fleet_config) {
-  if (fleet_config != nullptr) {
-    // Fleet cells run the sequential multi-proxy loop (fleet/fleet.h):
-    // one shared-uplink pass per replication, same shared stream and
-    // path model, seeds derived exactly as below.
-    sim::SimulationConfig config = sim_config;
-    config.seed = path_seed;
-    const fleet::FleetResult fr = fleet::run_fleet(
-        stream, *fleet_config, config, std::move(path_model), &scenario.base,
-        &scenario.ratio);
-    RunOutcome out = extract_outcome(fr.aggregate);
-    out.uplink_utilization = fr.uplink_utilization;
-    out.load_imbalance = fr.load_imbalance;
-    out.peer_hit_ratio = fr.peer_hit_ratio;
-    return out;
-  }
-  if (sim_config.monomorphize) {
-    if (sim::MonoEngineBase* engine =
-            sim::acquire_mono_engine(arena, sim_config)) {
-      sim::MonoRunContext context;
-      context.stream = &stream;
-      context.model = std::move(path_model);
-      context.base = &scenario.base;
-      context.ratio = &scenario.ratio;
-      context.config = &sim_config;
-      context.seed = path_seed;
-      return extract_outcome(engine->run(context));
+/// One simulation of a lockstep group (see SweepRunner::run): its
+/// (cell * runs + replication) slot, the engine executing it, and the
+/// wall time of its own begin/consume/finish calls.
+struct Lane {
+  std::size_t slot = 0;
+  /// The worker arena's monomorphized engine, or null for the virtual
+  /// fallback (out-of-table specs, monomorphize == false), which gets a
+  /// fresh Simulator per simulation exactly as before arenas existed.
+  sim::MonoEngineBase* engine = nullptr;
+  std::unique_ptr<sim::Simulator> fallback;
+  double wall_s = 0.0;
+
+  void consume(const workload::RequestBlock& block) {
+    if (engine != nullptr) {
+      engine->consume(block);
+    } else {
+      fallback->consume(block);
     }
+  }
+  [[nodiscard]] sim::SimulationResult finish() {
+    return engine != nullptr ? engine->finish() : fallback->finish();
+  }
+};
+
+/// One pool slot's private execution state: the monomorphized engines
+/// it has built (reused across every simulation it executes), the cursor
+/// its groups pull request blocks from, and the current group's lanes.
+/// Not shared between threads.
+struct Worker {
+  sim::SimulationArena arena;
+  workload::RequestCursor cursor;
+  std::vector<Lane> lanes;
+};
+
+/// Start one simulation over an already-built request stream on a fresh
+/// `lane`:
+/// a pure function of (stream, seeds, config), so any thread may run it
+/// in any order. `path_model` may be null, in which case the engine
+/// draws its own (bit-identical by the PathModel RNG-snapshot contract).
+/// `sim_config.path_config.mode` was already resolved against the
+/// scenario by SweepRunner::run.
+void begin_lane(Lane& lane, const workload::RequestStream& stream,
+                const Scenario& scenario,
+                const sim::SimulationConfig& sim_config,
+                std::uint64_t path_seed,
+                std::shared_ptr<const net::PathModel> path_model,
+                sim::SimulationArena& arena) {
+  if (sim_config.monomorphize) {
+    lane.engine = sim::acquire_mono_engine(arena, sim_config);
+  }
+  if (lane.engine != nullptr) {
+    sim::MonoRunContext context;
+    context.stream = &stream;
+    context.model = std::move(path_model);
+    context.base = &scenario.base;
+    context.ratio = &scenario.ratio;
+    context.config = &sim_config;
+    context.seed = path_seed;
+    lane.engine->begin(context);
+    return;
   }
   sim::SimulationConfig config = sim_config;
   config.seed = path_seed;
-  config.monomorphize = false;  // the dispatch decision was already made
-  sim::SimulationResult r;
-  if (path_model != nullptr) {
-    r = sim::Simulator(stream, std::move(path_model), config).run();
-  } else {
-    r = sim::Simulator(stream, scenario.base, scenario.ratio, config).run();
-  }
-  return extract_outcome(r);
+  lane.fallback =
+      path_model != nullptr
+          ? std::make_unique<sim::Simulator>(stream, std::move(path_model),
+                                             config)
+          : std::make_unique<sim::Simulator>(stream, scenario.base,
+                                             scenario.ratio, config);
+  lane.fallback->begin();
+}
+
+/// Fleet cells run the sequential multi-proxy loop (fleet/fleet.h): one
+/// shared-uplink pass per replication, same shared stream and path
+/// model, seeds derived exactly as for single-cell simulations.
+RunOutcome simulate_fleet(const workload::RequestStream& stream,
+                          const Scenario& scenario,
+                          const sim::SimulationConfig& sim_config,
+                          std::uint64_t path_seed,
+                          std::shared_ptr<const net::PathModel> path_model,
+                          const fleet::FleetConfig& fleet_config) {
+  sim::SimulationConfig config = sim_config;
+  config.seed = path_seed;
+  const fleet::FleetResult fr =
+      fleet::run_fleet(stream, fleet_config, config, std::move(path_model),
+                       &scenario.base, &scenario.ratio);
+  RunOutcome out = extract_outcome(fr.aggregate);
+  out.uplink_utilization = fr.uplink_utilization;
+  out.load_imbalance = fr.load_imbalance;
+  out.peer_hit_ratio = fr.peer_hit_ratio;
+  return out;
+}
+
+/// A pool task: the simulation slots order[first, last). A fleet
+/// simulation is always a task of its own; every other task is a
+/// lockstep group over one request stream.
+struct Task {
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point& mark) {
+  const auto now = std::chrono::steady_clock::now();
+  const double s = std::chrono::duration<double>(now - mark).count();
+  mark = now;
+  return s;
 }
 
 /// The per-replication seed stream, identical to the original serial
@@ -309,38 +359,124 @@ std::vector<AveragedMetrics> SweepRunner::run(
     }
   };
 
-  std::vector<RunOutcome> outcomes(cells.size() * runs);
-  // One simulation arena per worker slot: each worker caches the
-  // monomorphized engines (and their reusable event queue / store /
-  // heap / estimator state) for the spec pairs it executes, so
-  // steady-state sweep allocations are O(workers x distinct specs), not
-  // O(cells x replications).
+  // Lockstep grouping. A regenerating stream (synthetic or trace-file)
+  // re-derives every request block for each simulation that pulls it,
+  // so simulations of one stream run side by side instead: one cursor
+  // pass feeds each block to every simulation of the group. Group k of
+  // a stream holds the k-th simulation of each distinct (policy,
+  // estimator) spec pair on it, so no group needs the same arena engine
+  // twice and a worker caches exactly the engines it did before. Replay
+  // streams hand out zero-copy slices, so each of their simulations is
+  // a group of one; fleet cells keep a task of their own. Every
+  // simulation still sees every block in stream order, so results do
+  // not depend on grouping (or on threads, or on the chunk size).
+  std::vector<std::size_t> pair_of_cell(cells.size());
+  std::size_t n_pairs = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::size_t p = 0;
+    while (p < c && (sims[p].policy != sims[c].policy ||
+                     sims[p].estimator != sims[c].estimator)) {
+      ++p;
+    }
+    pair_of_cell[c] = p == c ? n_pairs++ : pair_of_cell[p];
+  }
+  const bool regenerating =
+      fixed != nullptr ? fixed->replayed() == nullptr : !materialize;
+  const std::size_t n_streams = fixed != nullptr ? 1 : alphas.size() * runs;
+  // Sort key of each simulation slot: (stream, k) for lockstep members,
+  // a key of its own otherwise; then order[] lists slots group by group,
+  // the groups first: they are the longest tasks, so the pool's tail is
+  // left to tasks of one simulation.
+  const std::size_t n_sims = cells.size() * runs;
+  std::vector<std::size_t> order(n_sims);
+  std::vector<std::pair<std::size_t, std::size_t>> group_key(n_sims);
+  std::vector<std::size_t> seen(regenerating ? n_streams * n_pairs : 0);
+  for (std::size_t slot = 0; slot < n_sims; ++slot) {
+    const std::size_t c = slot / runs;
+    const std::size_t st =
+        fixed != nullptr ? 0 : alpha_of_cell[c] * runs + slot % runs;
+    order[slot] = slot;
+    if (regenerating && fleets[c] == nullptr) {
+      group_key[slot] = {st, seen[st * n_pairs + pair_of_cell[c]]++};
+    } else {
+      group_key[slot] = {n_streams + slot, 0};
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return group_key[a] != group_key[b] ? group_key[a] < group_key[b]
+                                        : a < b;
+  });
+  std::vector<Task> tasks;
+  tasks.reserve(n_sims);
+  for (std::size_t i = 0; i < n_sims; ++i) {
+    if (i == 0 || group_key[order[i]] != group_key[order[i - 1]]) {
+      tasks.push_back(Task{i, i});
+    }
+    tasks.back().last = i + 1;
+  }
+
+  std::vector<RunOutcome> outcomes(n_sims);
   // Per-simulation wall times land in preallocated slots keyed by the
-  // deterministic task index, so collection is thread-safe and the
-  // reported distribution is scheduling-independent up to timing noise.
-  std::vector<double> sim_wall(stats != nullptr ? outcomes.size() : 0);
-  const auto simulate = [&](sim::SimulationArena& arena, std::size_t task) {
-    const std::size_t c = task / runs;
-    const std::size_t r = task % runs;
+  // deterministic (cell * runs + replication) index, so collection is
+  // thread-safe and the reported distribution is scheduling-independent
+  // up to timing noise. A group member is charged its own begin /
+  // consume / finish time plus an equal share of the group's block
+  // production, so the slots still sum to the pool's busy time.
+  std::vector<double> sim_wall(stats != nullptr ? n_sims : 0);
+  const std::size_t chunk = base_.sim.stream_chunk;
+  const auto execute = [&](Worker& worker, std::size_t t) {
+    const Task& task = tasks[t];
+    const std::size_t c0 = order[task.first] / runs;
+    const std::size_t r0 = order[task.first] % runs;
     const workload::RequestStream& stream =
-        fixed != nullptr ? *fixed : *streams[alpha_of_cell[c] * runs + r];
-    const auto start = std::chrono::steady_clock::now();
-    outcomes[task] = simulate_one(
-        stream, scenario_, sims[c], path_seeds[r],
-        share_models ? path_models[r] : nullptr, arena, fleets[c].get());
-    if (!sim_wall.empty()) {
-      sim_wall[task] = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
+        fixed != nullptr ? *fixed : *streams[alpha_of_cell[c0] * runs + r0];
+    auto mark = std::chrono::steady_clock::now();
+    if (fleets[c0] != nullptr) {
+      outcomes[order[task.first]] = simulate_fleet(
+          stream, scenario_, sims[c0], path_seeds[r0],
+          share_models ? path_models[r0] : nullptr, *fleets[c0]);
+      if (!sim_wall.empty()) sim_wall[order[task.first]] = seconds_since(mark);
+      return;
+    }
+    std::vector<Lane>& lanes = worker.lanes;
+    lanes.clear();
+    lanes.resize(task.last - task.first);
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      Lane& lane = lanes[i];
+      lane.slot = order[task.first + i];
+      const std::size_t c = lane.slot / runs;
+      const std::size_t r = lane.slot % runs;
+      begin_lane(lane, stream, scenario_, sims[c], path_seeds[r],
+                 share_models ? path_models[r] : nullptr, worker.arena);
+      lane.wall_s = seconds_since(mark);
+    }
+    double produce_s = 0.0;
+    workload::RequestCursor& cursor = worker.cursor;
+    cursor.bind(stream, chunk);
+    for (;;) {
+      const workload::RequestBlock* block = cursor.next();
+      produce_s += seconds_since(mark);
+      if (block == nullptr) break;
+      for (Lane& lane : lanes) {
+        lane.consume(*block);
+        lane.wall_s += seconds_since(mark);
+      }
+    }
+    for (Lane& lane : lanes) {
+      outcomes[lane.slot] = extract_outcome(lane.finish());
+      lane.wall_s += seconds_since(mark);
+      if (!sim_wall.empty()) {
+        sim_wall[lane.slot] =
+            lane.wall_s + produce_s / static_cast<double>(lanes.size());
+      }
     }
   };
 
-  const bool serial =
-      !base_.parallel || base_.threads == 1 || cells.size() * runs == 1;
+  const bool serial = !base_.parallel || base_.threads == 1 || n_sims == 1;
   if (serial) {
-    sim::SimulationArena arena;
+    Worker worker;
     for (std::size_t t = 0; t < setup_tasks; ++t) setup(t);
-    for (std::size_t t = 0; t < outcomes.size(); ++t) simulate(arena, t);
+    for (std::size_t t = 0; t < tasks.size(); ++t) execute(worker, t);
   } else {
     std::unique_ptr<util::ThreadPool> owned;
     util::ThreadPool* pool;
@@ -350,11 +486,16 @@ std::vector<AveragedMetrics> SweepRunner::run(
       owned = std::make_unique<util::ThreadPool>(base_.threads);
       pool = owned.get();
     }
-    std::vector<sim::SimulationArena> arenas(pool->slot_count());
+    // One worker state per pool slot: each slot caches the
+    // monomorphized engines (and their reusable event queue / store /
+    // heap / estimator state) for the spec pairs it executes, so
+    // steady-state sweep allocations are O(workers x distinct specs),
+    // not O(cells x replications).
+    std::vector<Worker> workers(pool->slot_count());
     pool->parallel_for(setup_tasks, setup);
-    pool->parallel_for_slots(outcomes.size(),
+    pool->parallel_for_slots(tasks.size(),
                              [&](std::size_t slot, std::size_t task) {
-                               simulate(arenas[slot], task);
+                               execute(workers[slot], task);
                              });
   }
 
@@ -362,6 +503,10 @@ std::vector<AveragedMetrics> SweepRunner::run(
     stats->workloads_generated = streams.size();
     stats->path_models_built =
         share_models ? runs : cells.size() * runs;
+    stats->lockstep_groups = static_cast<std::size_t>(
+        std::count_if(tasks.begin(), tasks.end(), [](const Task& t) {
+          return t.last - t.first > 1;
+        }));
     stats->sim_wall_s = std::move(sim_wall);
   }
 

@@ -13,9 +13,14 @@
 //      (ExperimentConfig::streaming) — the paired-seed design
 //      guarantees every cell would have generated the identical
 //      workload anyway;
-//   2. flattens the whole grid into one (cell x replication) task list
-//      executed on a single util::ThreadPool, so parallelism spans the
-//      entire sweep instead of one sweep point.
+//   2. flattens the whole grid into one task list executed on a single
+//      util::ThreadPool, so parallelism spans the entire sweep instead of
+//      one sweep point;
+//   3. runs the simulations that share one regenerating stream in
+//      lockstep: one task pulls each request block from a single cursor
+//      and feeds it to every simulation of its group, so a block is
+//      generated once per group rather than once per simulation, in
+//      O(chunk) memory.
 //
 // Results are BIT-IDENTICAL to the serial path: every task is a pure
 // function of (workload, seeds, config), tasks write into preallocated
@@ -74,9 +79,16 @@ struct SweepStats {
   /// Immutable net::PathModel instances built: one per replication when
   /// sharing (the default), one per simulation otherwise.
   std::size_t path_models_built = 0;
-  /// Wall-clock seconds of each individual simulation, indexed by the
-  /// deterministic (cell * runs + replication) task slot regardless of
-  /// thread count or scheduling. Feeds the benches'
+  /// Lockstep groups of two or more simulations executed: each is one
+  /// cursor pass over a regenerating stream feeding every simulation of
+  /// the group (0 when every stream is replayed from memory).
+  std::size_t lockstep_groups = 0;
+  /// Wall-clock seconds attributable to each individual simulation,
+  /// indexed by the deterministic (cell * runs + replication) slot
+  /// regardless of thread count or scheduling: the simulation's own
+  /// begin / consume / finish time plus 1/G of its lockstep group's
+  /// block production (cursor.next()) time, G the group size. The slots
+  /// therefore sum to the pool's busy time. Feeds the benches'
   /// --latency-percentiles reporting (stats::summarize_latencies).
   std::vector<double> sim_wall_s;
 };

@@ -58,14 +58,25 @@ struct MonoRunContext {
 };
 
 /// A compiled (policy kernel, estimator kernel) pair plus its reusable
-/// run state. run() rebinds the cached components to the context's
-/// workload/model/seed — bit-identical to constructing them fresh — and
-/// executes the monomorphized request loop. One virtual call per
-/// *simulation*; everything inside is inlined.
+/// run state. Starting a run rebinds the cached components to the
+/// context's workload/model/seed — bit-identical to constructing them
+/// fresh. Everything inside a call is inlined.
 class MonoEngineBase {
  public:
   virtual ~MonoEngineBase() = default;
+
+  /// One whole simulation, pulling the context's stream through the
+  /// engine's own cursor: one virtual call per *simulation*.
   [[nodiscard]] virtual SimulationResult run(const MonoRunContext& context) = 0;
+
+  /// The same simulation fed by the caller, block by block:
+  /// begin(context), then consume() every block of `context.stream` in
+  /// order, then finish(). core::SweepRunner uses this to drive several
+  /// engines in lockstep from one shared cursor (one virtual call per
+  /// request block). Results are bit-identical to run().
+  virtual void begin(const MonoRunContext& context) = 0;
+  virtual void consume(const workload::RequestBlock& block) = 0;
+  [[nodiscard]] virtual SimulationResult finish() = 0;
 };
 
 /// Per-worker cache of monomorphized engines keyed by the *raw*

@@ -3,10 +3,11 @@
 // One MonoEngine<PolicyKernel, EstimatorKernel> class template
 // instantiates the shared request loop (sim/run_loop.h) over every
 // built-in (policy, estimator) pair of the registry's spec space —
-// 8 policies x 4 estimators. Selection happens ONCE per simulation (one
-// virtual MonoEngineBase::run call); inside, estimate(), observe(),
-// uses_observations(), and the policy admission path are direct inlined
-// code.
+// 8 policies x 4 estimators. Selection happens ONCE per simulation; the
+// engine is then driven by one virtual MonoEngineBase::run call, or by
+// one virtual consume call per request block in a lockstep group.
+// Inside, estimate(), observe(), uses_observations(), and the policy
+// admission path are direct inlined code.
 //
 // Bit-identity with the virtual fallback is a hard contract: engines
 // construct their components with exactly the parameter defaults and
@@ -170,8 +171,35 @@ class MonoEngine final : public MonoEngineBase {
         estimator_params_(EstimatorTraits<EstKernel>::parse(estimator_spec)) {}
 
   SimulationResult run(const MonoRunContext& context) override {
-    const workload::RequestStream& stream = *context.stream;
-    const workload::Catalog& catalog = stream.catalog();
+    const util::Rng rng = prepare(context);
+    return run_request_loop(*context.stream, *context.config, state_,
+                            policy_ref_, estimator_->kernel(), rng);
+  }
+
+  void begin(const MonoRunContext& context) override {
+    const util::Rng rng = prepare(context);
+    loop_.emplace(*context.stream, *context.config, state_, policy_ref_,
+                  estimator_->kernel(), rng);
+  }
+
+  void consume(const workload::RequestBlock& block) override {
+    loop_->consume(block);
+  }
+
+  SimulationResult finish() override {
+    SimulationResult result = loop_->finish();
+    loop_.reset();
+    return result;
+  }
+
+ private:
+  using Loop = RequestLoop<MonoPolicyRef<PolKernel, EstKernel>, EstKernel>;
+
+  /// Rebind the cached components to the context's workload, model and
+  /// seed (bit-identical to constructing them fresh); returns the run's
+  /// root RNG stream for the request loop.
+  util::Rng prepare(const MonoRunContext& context) {
+    const workload::Catalog& catalog = context.stream->catalog();
     const SimulationConfig& config = *context.config;
 
     util::Rng rng(context.seed);
@@ -195,22 +223,21 @@ class MonoEngine final : public MonoEngineBase {
       create_policy(policy_, catalog, *estimator_, param_e_);
       name_ = policy_->name();
     }
-    state_.reset(stream, config.stream_chunk, model,
-                 config.cache_capacity_bytes, config.patching.enabled);
-
-    MonoPolicyRef<PolKernel, EstKernel> policy{&*policy_,
-                                               &estimator_->kernel(), &name_};
-    return run_request_loop(stream, config, state_, policy,
-                            estimator_->kernel(), rng);
+    state_.reset(catalog, std::move(model), config.cache_capacity_bytes,
+                 config.patching.enabled);
+    policy_ref_ = {&*policy_, &estimator_->kernel(), &name_};
+    return rng;
   }
 
- private:
   double param_e_;
   typename EstimatorTraits<EstKernel>::Params estimator_params_;
   std::optional<net::KernelEstimator<EstKernel>> estimator_;
   std::optional<cache::UtilityPolicy<PolKernel>> policy_;
   std::string name_;
   RunState state_;
+  MonoPolicyRef<PolKernel, EstKernel> policy_ref_{};
+  /// The in-progress lockstep run (begin() .. finish()).
+  std::optional<Loop> loop_;
 };
 
 // ---- the dispatch table over the registry's built-in spec space.

@@ -73,9 +73,9 @@ struct RunState {
   cache::PartialStore store{0.0};
   std::vector<InFlightStream> in_flight;
   std::optional<net::PathSampler> paths;
-  /// Chunk-wise iteration over the run's request stream plus the dense
-  /// per-object delivery operands (see sim/delivery.h). Both reuse
-  /// their buffers across simulations.
+  /// Chunk-wise iteration over the run's request stream (when the run
+  /// pulls its own blocks) plus the dense per-object delivery operands
+  /// (see sim/delivery.h). Both reuse their buffers across simulations.
   workload::RequestCursor cursor;
   DeliveryTable delivery;
   /// Compiled fault schedule (net/fault.h), rebuilt per run from
@@ -83,14 +83,14 @@ struct RunState {
   /// run's plan is empty.
   net::FaultSchedule faults;
 
-  /// Prepare for a run over `stream` and `model` (bit-identical to
-  /// building each member from scratch; storage reused). `chunk` is the
-  /// cursor block size (SimulationConfig::stream_chunk) — results are
-  /// identical for every value, only locality changes.
-  void reset(const workload::RequestStream& stream, std::size_t chunk,
+  /// Prepare for a run over `catalog` and `model` (bit-identical to
+  /// building each member from scratch; storage reused). The cursor is
+  /// bound by run_request_loop; a run fed by an external cursor (a
+  /// lockstep group, see RequestLoop) leaves it idle.
+  void reset(const workload::Catalog& catalog,
              std::shared_ptr<const net::PathModel> model,
              double capacity_bytes, bool patching) {
-    const std::size_t n_objects = stream.catalog().size();
+    const std::size_t n_objects = catalog.size();
     events.clear();
     events.reserve(64);
     store.reset(capacity_bytes);
@@ -105,111 +105,126 @@ struct RunState {
     } else {
       paths.emplace(std::move(model));
     }
-    cursor.bind(stream, chunk);
   }
 };
 
-/// Execute the full trace and return measured-window metrics.
+/// One simulation's request loop as a resumable object: the constructor
+/// does the per-run setup, consume() runs the per-request body over one
+/// request block, finish() drains the deferred observations and returns
+/// the measured-window metrics. Blocks must arrive in stream order, each
+/// exactly once. run_request_loop below drives one loop from its own
+/// cursor; core::SweepRunner drives several loops in lockstep from one
+/// shared cursor, so a regenerated block is produced once per group of
+/// simulations instead of once per simulation. Either way the loop
+/// executes the identical expressions in the identical order, so
+/// results cannot depend on who pulls the blocks.
 ///
 /// `rng` must be the run's root stream (Rng(seed), with "paths" already
 /// forked off by the caller if it built the model here); the loop forks
-/// only the tag-keyed "viewing" child, so fork order elsewhere cannot
-/// perturb it. `policy` needs on_access(id, now_s, store) and name();
-/// `estimator` needs observe(path, throughput, now_s) and
-/// overhead_packets(), plus either uses_observations() or the kernel
-/// kUsesObservations constant.
+/// only the tag-keyed "faults", "viewing" and "session" children during
+/// construction, so fork order elsewhere cannot perturb them. `policy`
+/// needs on_access(id, now_s, store) and name(); `estimator` needs
+/// observe(path, throughput, now_s) and overhead_packets(), plus either
+/// uses_observations() or the kernel kUsesObservations constant. All
+/// referenced objects must outlive the loop.
 template <typename Policy, typename Estimator>
-[[nodiscard]] SimulationResult run_request_loop(
-    const workload::RequestStream& stream, const SimulationConfig& config,
-    RunState& state, Policy& policy, Estimator& estimator, util::Rng& rng) {
-  const workload::Catalog& catalog = stream.catalog();
-  const std::size_t total_requests = stream.num_requests();
-  const workload::CatalogView view = catalog.view();
-
-  net::PathSampler& paths = *state.paths;
-  const net::PathModel& model = paths.model();
-  // Constant-bandwidth scenarios (the paper's main setting) sample the
-  // mean directly: no switch, no sampler state, one contiguous load.
-  const bool constant_bw = model.mode() == net::VariationMode::kConstant;
-  const double* path_means = model.means().data();
-  // One up-front scan keeps the unchecked fast-path read below safe for
-  // hand-built catalogs whose per-object path ids exceed the model
-  // (generated catalogs always use path == id < size).
-  for (std::size_t i = 0; i < view.size; ++i) {
-    if (view.path[i] >= model.size()) {
-      throw std::out_of_range("run_request_loop: object path id " +
-                              std::to_string(view.path[i]) +
-                              " outside the path model");
+class RequestLoop {
+ public:
+  RequestLoop(const workload::RequestStream& stream,
+              const SimulationConfig& config, RunState& state,
+              Policy& policy, Estimator& estimator, const util::Rng& rng)
+      : config_(&config),
+        state_(&state),
+        policy_(&policy),
+        estimator_(&estimator),
+        view_(stream.catalog().view()),
+        total_requests_(stream.num_requests()),
+        decisions_(policy, estimator, state.store, state.events),
+        viewing_rng_(rng.fork("viewing")),
+        session_rng_(rng.fork("session")) {
+    const net::PathModel& model = state.paths->model();
+    // Constant-bandwidth scenarios (the paper's main setting) sample the
+    // mean directly: no switch, no sampler state, one contiguous load.
+    constant_bw_ = model.mode() == net::VariationMode::kConstant;
+    // One up-front scan keeps the unchecked fast-path read in consume()
+    // safe for hand-built catalogs whose per-object path ids exceed the
+    // model (generated catalogs always use path == id < size).
+    for (std::size_t i = 0; i < view_.size; ++i) {
+      if (view_.path[i] >= model.size()) {
+        throw std::out_of_range("run_request_loop: object path id " +
+                                std::to_string(view_.path[i]) +
+                                " outside the path model");
+      }
     }
+    // Oracle / purely-active estimators discard observations; skip the
+    // per-transfer event traffic for them entirely (the queue stays
+    // empty, so tick() degenerates to one size check per request). For
+    // kernel estimators this is a compile-time constant.
+    estimator_observes_ = decisions_.observes();
+    // Fault injection (net/fault.h): compile the plan once per run. With
+    // an empty plan `faults_` stays null and every hook in consume()
+    // short-circuits on a constant pointer/scale test, so the loop
+    // executes the exact pre-fault expression stream — bit-identical
+    // results, golden-CSV enforced. The schedule seed is a tag-keyed
+    // fork of the run's root stream (fork() is const, so this perturbs
+    // nothing), making fault timing identical across engines and thread
+    // counts but independent across replications.
+    if (!config.fault.empty()) {
+      state.faults.compile(config.fault, model.size(),
+                           rng.fork("faults").seed());
+      faults_ = &state.faults;
+    } else {
+      state.faults.clear();
+    }
+    decisions_.set_faults(faults_);
+    warm_count_ = static_cast<std::size_t>(
+        static_cast<double>(total_requests_) * config.warmup_fraction);
+    // Session dynamics draw from their own tag-keyed stream so enabling
+    // them never perturbs the viewing/path/estimator streams (and "full"
+    // mode draws nothing at all, keeping it a field-identical oracle).
+    interactive_ = config.interactivity.enabled();
+    if (interactive_ && config.viewing.enabled) {
+      throw std::invalid_argument(
+          "run_request_loop: ViewingConfig and a non-full interactivity "
+          "model are both session-length models and cannot be combined; "
+          "use --interactivity alone (it supersedes --viewing)");
+    }
+    // Per-object §2.2 products, premultiplied once per run in the
+    // contiguous vectorizable fills of sim/delivery.h — they depend only
+    // on the catalog (and constant-mode path means), so per-request
+    // recomputation would be pure overhead.
+    build_delivery_table(view_, constant_bw_ ? model.means().data() : nullptr,
+                         state.delivery);
   }
 
-  // The clock-agnostic decision half (sim/decision.h); this loop owns
-  // the simulated clock and feeds it request arrival times.
-  DecisionKernel<Policy, Estimator> decisions(policy, estimator, state.store,
-                                              state.events);
-  // Oracle / purely-active estimators discard observations; skip the
-  // per-transfer event traffic for them entirely (the queue stays empty,
-  // so tick() degenerates to one size check per request). For kernel
-  // estimators this is a compile-time constant.
-  const bool estimator_observes = decisions.observes();
-  // Fault injection (net/fault.h): compile the plan once per run. With
-  // an empty plan `faults` stays null and every hook below
-  // short-circuits on a constant pointer/scale test, so the loop
-  // executes the exact pre-fault expression stream — bit-identical
-  // results, golden-CSV enforced. The schedule seed is a tag-keyed fork
-  // of the run's root stream (fork() is const, so this perturbs
-  // nothing), making fault timing identical across engines and thread
-  // counts but independent across replications.
-  const net::FaultSchedule* faults = nullptr;
-  if (!config.fault.empty()) {
-    state.faults.compile(config.fault, model.size(),
-                         rng.fork("faults").seed());
-    faults = &state.faults;
-  } else {
-    state.faults.clear();
-  }
-  decisions.set_faults(faults);
-  MetricsCollector metrics;
-  const auto warm_count = static_cast<std::size_t>(
-      static_cast<double>(total_requests) * config.warmup_fraction);
+  RequestLoop(const RequestLoop&) = delete;
+  RequestLoop& operator=(const RequestLoop&) = delete;
 
-  std::vector<InFlightStream>& in_flight = state.in_flight;
-  util::Rng viewing_rng = rng.fork("viewing");
-  // Session dynamics draw from their own tag-keyed stream so enabling
-  // them never perturbs the viewing/path/estimator streams (and "full"
-  // mode draws nothing at all, keeping it a field-identical oracle).
-  const bool interactive = config.interactivity.enabled();
-  if (interactive && config.viewing.enabled) {
-    throw std::invalid_argument(
-        "run_request_loop: ViewingConfig and a non-full interactivity "
-        "model are both session-length models and cannot be combined; "
-        "use --interactivity alone (it supersedes --viewing)");
-  }
-  util::Rng session_rng = rng.fork("session");
-
-  // Per-object §2.2 products, premultiplied once per run in the
-  // contiguous vectorizable fills of sim/delivery.h — they depend only
-  // on the catalog (and constant-mode path means), so per-request
-  // recomputation would be pure overhead.
-  DeliveryTable& pre = state.delivery;
-  build_delivery_table(view, constant_bw ? path_means : nullptr, pre);
-
-  // The stream is consumed in chunks: the cursor materializes one SoA
-  // request block at a time (replayed, regenerated, or re-read from
-  // disk — sources are interchangeable and byte-identical) and the
-  // sequential decision loop below runs over its contiguous lanes.
-  // Identical expressions in identical order to the
-  // one-request-at-a-time loop this replaces, so results are
-  // bit-identical at every chunk size.
-  workload::RequestCursor& cursor = state.cursor;
-  while (const workload::RequestBlock* block = cursor.next()) {
-    for (std::size_t i = 0; i < block->size; ++i) {
-      const std::size_t idx = block->first + i;
-      const double now_s = block->time_s[i];
+  /// Run the per-request body over every request of `block` (the next
+  /// block of the stream, in order). The block's SoA lanes are read
+  /// sequentially; nothing is retained past the call.
+  void consume(const workload::RequestBlock& block) {
+    // Loop invariants as locals, so the per-request body reads them
+    // from registers rather than through `this`.
+    const SimulationConfig& config = *config_;
+    const workload::CatalogView view = view_;
+    const DeliveryTable& pre = state_->delivery;
+    net::PathSampler& paths = *state_->paths;
+    std::vector<InFlightStream>& in_flight = state_->in_flight;
+    const net::FaultSchedule* const faults = faults_;
+    const bool constant_bw = constant_bw_;
+    const bool interactive = interactive_;
+    const bool estimator_observes = estimator_observes_;
+    const std::size_t warm_count = warm_count_;
+    MetricsCollector& metrics = metrics_;
+    DecisionKernel<Policy, Estimator>& decisions = decisions_;
+    for (std::size_t i = 0; i < block.size; ++i) {
+      const std::size_t idx = block.first + i;
+      const double now_s = block.time_s[i];
       // Deliver pending transfer-completion observations first.
       decisions.tick(now_s);
 
-      const workload::ObjectId id = block->object[i];
+      const workload::ObjectId id = block.object[i];
       const double duration_s = view.duration_s[id];
       const double bitrate = view.bitrate[id];
       const double size_bytes = view.size_bytes[id];
@@ -256,8 +271,8 @@ template <typename Policy, typename Estimator>
       double session_s = duration_s;
       if (interactive) {
         viewed_fraction = sample_viewed_fraction(config.interactivity,
-                                                 duration_s, block->view_s[i],
-                                                 session_rng);
+                                                 duration_s, block.view_s[i],
+                                                 session_rng_);
         if (viewed_fraction < 1.0) {
           session_s = viewed_fraction * duration_s;
           const double viewed_bytes = session_s * bitrate;
@@ -276,8 +291,8 @@ template <typename Policy, typename Estimator>
       // metrics) by the viewed fraction of the stream.
       if (config.viewing.enabled) {
         double fraction = 1.0;
-        if (viewing_rng.uniform() >= config.viewing.complete_probability) {
-          fraction = viewing_rng.uniform(config.viewing.min_fraction, 1.0);
+        if (viewing_rng_.uniform() >= config.viewing.complete_probability) {
+          fraction = viewing_rng_.uniform(config.viewing.min_fraction, 1.0);
         }
         const double viewed = fraction * size_bytes;
         request_bytes = viewed;
@@ -361,17 +376,61 @@ template <typename Policy, typename Estimator>
       }
     }
   }
-  decisions.drain();
 
-  SimulationResult result;
-  result.policy_name = policy.name();
-  result.metrics = metrics;
-  result.warmup_requests = warm_count;
-  result.measured_requests = total_requests - warm_count;
-  result.final_occupancy_bytes = state.store.used();
-  result.final_cached_objects = state.store.object_count();
-  result.estimator_overhead_packets = estimator.overhead_packets();
-  return result;
+  /// Flush the pending completion observations and return the
+  /// measured-window metrics. Call once, after the stream's last block.
+  [[nodiscard]] SimulationResult finish() {
+    decisions_.drain();
+    SimulationResult result;
+    result.policy_name = policy_->name();
+    result.metrics = metrics_;
+    result.warmup_requests = warm_count_;
+    result.measured_requests = total_requests_ - warm_count_;
+    result.final_occupancy_bytes = state_->store.used();
+    result.final_cached_objects = state_->store.object_count();
+    result.estimator_overhead_packets = estimator_->overhead_packets();
+    return result;
+  }
+
+ private:
+  const SimulationConfig* config_;
+  RunState* state_;
+  Policy* policy_;
+  Estimator* estimator_;
+  workload::CatalogView view_;
+  std::size_t total_requests_;
+  // The clock-agnostic decision half (sim/decision.h); this loop owns
+  // the simulated clock and feeds it request arrival times.
+  DecisionKernel<Policy, Estimator> decisions_;
+  util::Rng viewing_rng_;
+  util::Rng session_rng_;
+  MetricsCollector metrics_;
+  const net::FaultSchedule* faults_ = nullptr;
+  std::size_t warm_count_ = 0;
+  bool constant_bw_ = false;
+  bool interactive_ = false;
+  bool estimator_observes_ = false;
+};
+
+/// Execute the full trace and return measured-window metrics: one
+/// RequestLoop fed from `state.cursor`. The stream is consumed in
+/// chunks — the cursor materializes one SoA request block at a time
+/// (replayed, regenerated, or re-read from disk; sources are
+/// interchangeable and byte-identical) — so results are bit-identical
+/// at every chunk size.
+template <typename Policy, typename Estimator>
+[[nodiscard]] SimulationResult run_request_loop(
+    const workload::RequestStream& stream, const SimulationConfig& config,
+    RunState& state, Policy& policy, Estimator& estimator,
+    const util::Rng& rng) {
+  RequestLoop<Policy, Estimator> loop(stream, config, state, policy,
+                                      estimator, rng);
+  workload::RequestCursor& cursor = state.cursor;
+  cursor.bind(stream, config.stream_chunk);
+  while (const workload::RequestBlock* block = cursor.next()) {
+    loop.consume(*block);
+  }
+  return loop.finish();
 }
 
 }  // namespace sc::sim

@@ -92,6 +92,15 @@ Simulator::Simulator(workload::RequestStream stream,
                            config_.estimator);
 }
 
+struct Simulator::Fallback {
+  std::unique_ptr<net::BandwidthEstimator> estimator;
+  std::unique_ptr<cache::CachePolicy> policy;
+  RunState state;
+  std::optional<RequestLoop<cache::CachePolicy, net::BandwidthEstimator>> loop;
+};
+
+Simulator::~Simulator() = default;
+
 SimulationResult Simulator::run() { return run(nullptr); }
 
 SimulationResult Simulator::run(SimulationArena* arena) {
@@ -114,10 +123,9 @@ SimulationResult Simulator::run(SimulationArena* arena) {
   return run_fallback();
 }
 
-SimulationResult Simulator::run_fallback() {
+std::unique_ptr<Simulator::Fallback> Simulator::make_fallback(
+    util::Rng& rng) const {
   const workload::Catalog& catalog = stream_.catalog();
-
-  util::Rng rng(config_.seed);
   // Shared immutable means + per-run sampler. Without a shared model the
   // draws happen here, from the same seed stream a shared builder uses.
   std::shared_ptr<const net::PathModel> model = path_model_;
@@ -128,20 +136,42 @@ SimulationResult Simulator::run_fallback() {
   }
 
   // Build the configured estimator and policy through the registry.
-  std::unique_ptr<net::BandwidthEstimator> estimator =
-      core::registry::make_estimator(config_.estimator, *model,
-                                     rng.fork("estimator"));
-  auto policy =
-      core::registry::make_policy(config_.policy, catalog, *estimator);
+  auto fallback = std::make_unique<Fallback>();
+  fallback->estimator = core::registry::make_estimator(
+      config_.estimator, *model, rng.fork("estimator"));
+  fallback->policy = core::registry::make_policy(config_.policy, catalog,
+                                                 *fallback->estimator);
+  fallback->state.reset(catalog, std::move(model),
+                        config_.cache_capacity_bytes,
+                        config_.patching.enabled);
+  return fallback;
+}
 
-  RunState state;
-  state.reset(stream_, config_.stream_chunk, std::move(model),
-              config_.cache_capacity_bytes, config_.patching.enabled);
+SimulationResult Simulator::run_fallback() {
+  util::Rng rng(config_.seed);
+  const std::unique_ptr<Fallback> f = make_fallback(rng);
   // The loop body is shared with the monomorphized engines
   // (sim/run_loop.h); this instantiation dispatches through the virtual
   // CachePolicy / BandwidthEstimator interfaces.
-  return run_request_loop(stream_, config_, state, *policy, *estimator,
-                          rng);
+  return run_request_loop(stream_, config_, f->state, *f->policy,
+                          *f->estimator, rng);
+}
+
+void Simulator::begin() {
+  util::Rng rng(config_.seed);
+  fallback_ = make_fallback(rng);
+  fallback_->loop.emplace(stream_, config_, fallback_->state,
+                          *fallback_->policy, *fallback_->estimator, rng);
+}
+
+void Simulator::consume(const workload::RequestBlock& block) {
+  fallback_->loop->consume(block);
+}
+
+SimulationResult Simulator::finish() {
+  SimulationResult result = fallback_->loop->finish();
+  fallback_.reset();
+  return result;
 }
 
 }  // namespace sc::sim

@@ -155,7 +155,25 @@ class Simulator {
   /// nothing; a null arena uses a run-local one.
   [[nodiscard]] SimulationResult run(SimulationArena* arena);
 
+  /// The virtual-path run fed by the caller, block by block: begin(),
+  /// then consume() every block of the simulator's stream in order (from
+  /// any cursor over it), then finish(). Bit-identical to run();
+  /// core::SweepRunner drives several simulations of one stream in
+  /// lockstep this way so each block is produced once per group. This
+  /// always takes the virtual fallback path — the monomorphized engines
+  /// expose the same surface through MonoEngineBase.
+  void begin();
+  void consume(const workload::RequestBlock& block);
+  [[nodiscard]] SimulationResult finish();
+
+  ~Simulator();
+
  private:
+  /// The virtual-path components of one run (registry-built policy and
+  /// estimator, run state, and the lockstep request loop when begun).
+  struct Fallback;
+
+  [[nodiscard]] std::unique_ptr<Fallback> make_fallback(util::Rng& rng) const;
   [[nodiscard]] SimulationResult run_fallback();
 
   Simulator(workload::RequestStream stream,
@@ -170,6 +188,8 @@ class Simulator {
   std::optional<stats::EmpiricalDistribution> ratio_;
   std::shared_ptr<const net::PathModel> path_model_;
   SimulationConfig config_;
+  // The in-progress begin()..finish() run.
+  std::unique_ptr<Fallback> fallback_;
 };
 
 }  // namespace sc::sim

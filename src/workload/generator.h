@@ -104,9 +104,10 @@ enum class StreamingMode {
   /// Always build the full std::vector<Request> up front (the pre-stream
   /// behavior; O(num_requests) memory per distinct (alpha, run)).
   kMaterialize,
-  /// Always regenerate chunk-wise inside each simulation (O(chunk)
-  /// memory; each simulation re-runs the generator, trading CPU for the
-  /// memory that makes 10^8-request sweeps possible).
+  /// Always regenerate chunk-wise (O(chunk) memory, what makes 10^8-
+  /// request sweeps possible). core::SweepRunner runs the simulations
+  /// that share a stream in lockstep groups fed from one cursor, so the
+  /// generator runs once per group rather than once per simulation.
   kStream,
 };
 

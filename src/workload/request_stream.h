@@ -16,14 +16,15 @@
 //                would have built, while peak memory is O(chunk).
 //   - trace file: the catalog is parsed once up front (and the whole
 //                file validated); request records re-stream from disk
-//                chunk-wise inside each simulation via TraceReader.
+//                chunk-wise on every cursor pass via TraceReader.
 //
 // Sharing happens at the stream level: core::SweepRunner builds one
 // immutable RequestStream per distinct (alpha, replication) — or one
-// per grid under trace scenarios — and every simulation binds its own
-// RequestCursor to it. Cursors carry all mutable state (RNG position,
-// SoA chunk buffers, file handles), so any number of simulations can
-// stream the same workload concurrently, each from the beginning.
+// per grid under trace scenarios — and binds one RequestCursor per
+// lockstep group of simulations to it (each block then feeds every
+// simulation of the group). Cursors carry all mutable state (RNG
+// position, SoA chunk buffers, file handles), so any number of cursors
+// can stream the same workload concurrently, each from the beginning.
 // Determinism contract: the synthetic source's RNG snapshot is the
 // sweep's per-(alpha, run) seed derivation (splitmix64 + tag forks)
 // advanced past Catalog::generate, so chunk k is a pure function of

@@ -149,6 +149,40 @@ TEST(HotPathAllocations, SweepAllocationsDoNotScaleWithCellCount) {
       << a_large << " at " << large_grid.size();
 }
 
+TEST(HotPathAllocations, LockstepSweepAllocationsDoNotScaleWithCellCount) {
+  // The same guarantee on the lockstep path: under kStream every group
+  // rebinds its worker's one cursor and reuses its lane storage, so
+  // quadrupling the cells (and the groups) must not add allocations
+  // beyond fixed per-sweep bookkeeping either.
+  core::ExperimentConfig cfg;
+  cfg.workload.catalog.num_objects = 300;
+  cfg.workload.trace.num_requests = 4000;
+  cfg.runs = 2;
+  cfg.threads = 1;
+  cfg.streaming = workload::StreamingMode::kStream;
+  const auto cells_for = [](std::size_t fractions) {
+    std::vector<core::SweepCell> cells;
+    for (const char* policy : {"pb", "if", "lru"}) {
+      for (std::size_t f = 1; f <= fractions; ++f) {
+        cells.push_back(core::SweepCell{
+            policy, -1.0, 0.01 * static_cast<double>(f), {}, {}, {}});
+      }
+    }
+    return cells;
+  };
+  core::SweepRunner runner(cfg, core::constant_scenario());
+  const auto allocations_for = [&](const std::vector<core::SweepCell>& cells) {
+    (void)runner.run(cells);  // warm lazy registry/static setup
+    const std::uint64_t before = g_news.load();
+    (void)runner.run(cells);
+    return g_news.load() - before;
+  };
+  const auto a_small = allocations_for(cells_for(2));  // 6 cells, 4 groups
+  const auto a_large = allocations_for(cells_for(8));  // 24 cells, 16 groups
+  EXPECT_LE(a_large, a_small + 64)
+      << a_small << " allocs at 6 cells vs " << a_large << " at 24";
+}
+
 TEST(HotPathAllocations, TraceReplayLoadsOncePerGridNotPerCell) {
   // The trace scenario's contract: the file is read once per
   // make_scenario call into one immutable workload; SweepRunner shares

@@ -15,6 +15,7 @@
 #include "core/experiment.h"
 #include "core/registry.h"
 #include "core/sweep.h"
+#include "util/spec.h"
 #include "workload/generator.h"
 #include "workload/request_stream.h"
 #include "workload/trace.h"
@@ -254,6 +255,69 @@ TEST(StreamedSimulation, MatchesMaterializedOnRandomWorkloads) {
     expect_identical(
         run_mode(cfg, scenario, workload::StreamingMode::kMaterialize),
         run_mode(cfg, scenario, workload::StreamingMode::kStream), label);
+  }
+}
+
+void expect_all_fields_identical(const AveragedMetrics& a,
+                                 const AveragedMetrics& b,
+                                 const std::string& label) {
+  expect_identical(a, b, label);
+  EXPECT_EQ(a.denied_requests, b.denied_requests) << label;
+  EXPECT_EQ(a.denied_bytes, b.denied_bytes) << label;
+  EXPECT_EQ(a.uplink_utilization, b.uplink_utilization) << label;
+  EXPECT_EQ(a.load_imbalance, b.load_imbalance) << label;
+  EXPECT_EQ(a.peer_hit_ratio, b.peer_hit_ratio) << label;
+}
+
+TEST(StreamedSimulation, LockstepGroupsMatchMaterializedOnAMixedGrid) {
+  // Under kStream the runner feeds every simulation of a regenerating
+  // stream from one shared cursor, group by group. A grid mixing every
+  // kind of simulation a group can hold — repeated spec pairs (several
+  // groups per stream), an out-of-table user-registered policy (a
+  // virtual-fallback member), session dynamics, a fault plan, a second
+  // alpha, and a fleet cell (a task of its own) — must come out
+  // field-identical to the materialized path at threads 1 and 4.
+  static const registry::PolicyRegistrar registrar(
+      {"test-stream-pb", {}, "test-only PB clone (fallback path)", {}},
+      [](const util::Spec&, const registry::PolicyContext& ctx) {
+        return std::make_unique<cache::PbPolicy>(ctx.catalog, ctx.estimator);
+      });
+  (void)registrar;
+  const std::vector<SweepCell> cells = {
+      {"pb", -1.0, 0.01, {}, {}, {}},
+      {"lru", -1.0, 0.01, {}, {}, {}},
+      {"pb", -1.0, 0.04, {}, {}, {}},
+      {"lru", -1.0, 0.04, {}, {}, {}},
+      {"test-stream-pb", -1.0, 0.02, {}, {}, {}},
+      {"pb", -1.0, 0.02, "exp:mean=600", {}, {}},
+      {"lru", -1.0, 0.02, {}, "fault:outage=5000+4000,degrade=1000+2000x0.5", {}},
+      {"if", 1.0, 0.02, {}, {}, {}},
+      {"pb", -1.0, 0.04, {}, {}, "fleet:proxies=4,sharding=hash:vnodes=16"},
+  };
+  const Scenario scenario = measured_variability_scenario();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExperimentConfig cfg = base_config(threads, 256);
+    cfg.sim.estimator = "ewma";
+    cfg.streaming = workload::StreamingMode::kMaterialize;
+    SweepStats materialized_stats;
+    const auto materialized =
+        SweepRunner(cfg, scenario).run(cells, &materialized_stats);
+    cfg.streaming = workload::StreamingMode::kStream;
+    SweepStats streamed_stats;
+    const auto streamed = SweepRunner(cfg, scenario).run(cells, &streamed_stats);
+    ASSERT_EQ(materialized.size(), cells.size());
+    ASSERT_EQ(streamed.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      expect_all_fields_identical(
+          materialized[c], streamed[c],
+          "cell " + std::to_string(c) + " threads=" + std::to_string(threads));
+    }
+    // Replayed streams run every simulation alone. Per run, the
+    // alpha-0.73 stream holds three groups ({pb, lru, test-stream-pb},
+    // then {pb, lru} twice); the lone alpha-1.0 cell and the fleet cell
+    // run alone.
+    EXPECT_EQ(materialized_stats.lockstep_groups, 0u);
+    EXPECT_EQ(streamed_stats.lockstep_groups, 3 * cfg.runs);
   }
 }
 

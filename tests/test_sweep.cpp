@@ -153,6 +153,61 @@ TEST(SweepRunner, StatsCountWorkloadsAndModels) {
   EXPECT_EQ(stats.path_models_built, 3u);         // runs only
 }
 
+TEST(SweepRunner, SimWallHasOnePositiveEntryPerSimulation) {
+  // Lockstep members are charged their own time plus a share of their
+  // group's block production; every (cell, replication) slot gets a
+  // positive entry, grouped or not, fleet or not.
+  std::vector<SweepCell> cells = fig5_shaped_cells();
+  cells.push_back(SweepCell{"pb", -1.0, 0.05, {}, {},
+                            "fleet:proxies=2,sharding=random"});
+  for (const auto mode : {workload::StreamingMode::kMaterialize,
+                          workload::StreamingMode::kStream}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ExperimentConfig cfg = small_config();
+      cfg.streaming = mode;
+      cfg.threads = threads;
+      SweepStats stats;
+      (void)SweepRunner(cfg, constant_scenario()).run(cells, &stats);
+      ASSERT_EQ(stats.sim_wall_s.size(), cells.size() * cfg.runs);
+      for (std::size_t i = 0; i < stats.sim_wall_s.size(); ++i) {
+        EXPECT_GT(stats.sim_wall_s[i], 0.0) << "slot " << i;
+      }
+    }
+  }
+}
+
+TEST(SweepRunner, TraceFileStreamRunsInLockstepGroups) {
+  // A trace:...,stream=1 scenario re-reads the file for every cursor
+  // pass, so its simulations are grouped like synthetic streams — one
+  // stream for the whole grid, so group k spans replications too — and
+  // must match the in-memory replay of the same file exactly.
+  workload::WorkloadConfig wcfg;
+  wcfg.catalog.num_objects = 150;
+  wcfg.trace.num_requests = 3000;
+  util::Rng rng(78);
+  const auto w = workload::generate_workload(wcfg, rng);
+  const auto trace_path =
+      std::filesystem::temp_directory_path() / "sc_sweep_lockstep.trace";
+  workload::write_trace(w, trace_path);
+  const auto replayed =
+      registry::make_scenario("trace:file=" + trace_path.string());
+  const auto streamed =
+      registry::make_scenario("trace:file=" + trace_path.string() + ",stream=1");
+  const auto cells = fig5_shaped_cells();
+  SweepStats replay_stats;
+  const auto a = SweepRunner(small_config(), replayed).run(cells, &replay_stats);
+  SweepStats stream_stats;
+  const auto b = SweepRunner(small_config(), streamed).run(cells, &stream_stats);
+  std::filesystem::remove(trace_path);
+  EXPECT_EQ(replay_stats.lockstep_groups, 0u);
+  EXPECT_EQ(stream_stats.lockstep_groups, 2u * small_config().runs);
+  ASSERT_EQ(a.size(), cells.size());
+  ASSERT_EQ(b.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    expect_bit_identical(a[i], b[i]);
+  }
+}
+
 TEST(SweepRunner, AlphaCellsShareNothingAcrossDistinctAlphas) {
   // Different alphas are different workloads: metrics must differ.
   const auto scenario = constant_scenario();
