@@ -8,12 +8,15 @@
 #include "core/registry.h"
 #include "fleet/fleet.h"
 #include "sim/arena.h"
+#include "sim/block_draws.h"
 #include "stats/summary.h"
 #include "util/thread_pool.h"
 
 namespace sc::core {
 
 namespace {
+
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// Raw per-replication measurements, reduced into AveragedMetrics in run
 /// order (the fold order matters for floating-point bit-identity).
@@ -50,37 +53,75 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
 }
 
 /// One simulation of a lockstep group (see SweepRunner::run): its
-/// (cell * runs + replication) slot, the engine executing it, and the
-/// wall time of its own begin/consume/finish calls.
+/// (cell * runs + replication) slot, the engine executing it, the draws
+/// it reads, and the wall time of its own begin/consume/finish calls.
 struct Lane {
   std::size_t slot = 0;
   /// The worker arena's monomorphized engine, or null for the virtual
   /// fallback (out-of-table specs, monomorphize == false), which gets a
-  /// fresh Simulator per simulation exactly as before arenas existed.
+  /// fresh Simulator per simulation exactly as before arenas existed,
+  /// or for a fleet cell, which runs a fleet::FleetLoop.
   sim::MonoEngineBase* engine = nullptr;
   std::unique_ptr<sim::Simulator> fallback;
+  std::unique_ptr<fleet::FleetLoop> fleet;
+  /// Index of the worker's draw set this lane reads.
+  std::size_t draws = 0;
   double wall_s = 0.0;
 
-  void consume(const workload::RequestBlock& block) {
+  void consume(const workload::RequestBlock& block,
+               const sim::BlockDraws& block_draws) {
     if (engine != nullptr) {
-      engine->consume(block);
+      engine->consume(block, block_draws);
+    } else if (fleet != nullptr) {
+      fleet->consume(block, block_draws);
     } else {
-      fallback->consume(block);
+      fallback->consume(block, block_draws);
     }
   }
-  [[nodiscard]] sim::SimulationResult finish() {
-    return engine != nullptr ? engine->finish() : fallback->finish();
+  [[nodiscard]] RunOutcome finish() {
+    if (fleet != nullptr) {
+      const fleet::FleetResult fr = fleet->finish();
+      fleet.reset();
+      RunOutcome out = extract_outcome(fr.aggregate);
+      out.uplink_utilization = fr.uplink_utilization;
+      out.load_imbalance = fr.load_imbalance;
+      out.peer_hit_ratio = fr.peer_hit_ratio;
+      return out;
+    }
+    return extract_outcome(engine != nullptr ? engine->finish()
+                                             : fallback->finish());
   }
+};
+
+/// Whether two session models draw identical viewed fractions from the
+/// same seed.
+bool same_sessions(const sim::InteractivityConfig& a,
+                   const sim::InteractivityConfig& b) {
+  return a.mode == b.mode &&
+         (a.mode != sim::InteractivityMode::kExponential ||
+          a.mean_s == b.mean_s);
+}
+
+/// The per-request draws (sim/block_draws.h) of one (replication,
+/// session model) within a group, filled once per block for every lane
+/// of that key.
+struct DrawSet {
+  std::size_t run = 0;
+  std::size_t sessions = 0;
+  sim::BlockDraws draws;
 };
 
 /// One pool slot's private execution state: the monomorphized engines
 /// it has built (reused across every simulation it executes), the cursor
-/// its groups pull request blocks from, and the current group's lanes.
+/// its groups pull request blocks from, the current group's lanes, and
+/// its draw sets (the first `active_draws` belong to the current group).
 /// Not shared between threads.
 struct Worker {
   sim::SimulationArena arena;
   workload::RequestCursor cursor;
   std::vector<Lane> lanes;
+  std::vector<DrawSet> draws;
+  std::size_t active_draws = 0;
 };
 
 /// Start one simulation over an already-built request stream on a fresh
@@ -89,13 +130,24 @@ struct Worker {
 /// in any order. `path_model` may be null, in which case the engine
 /// draws its own (bit-identical by the PathModel RNG-snapshot contract).
 /// `sim_config.path_config.mode` was already resolved against the
-/// scenario by SweepRunner::run.
+/// scenario by SweepRunner::run. A non-null `fleet_config` makes the
+/// lane a fleet cell: the multi-proxy loop (fleet/fleet.h) over the same
+/// stream, path model and seeds.
 void begin_lane(Lane& lane, const workload::RequestStream& stream,
                 const Scenario& scenario,
                 const sim::SimulationConfig& sim_config,
+                const fleet::FleetConfig* fleet_config,
                 std::uint64_t path_seed,
                 std::shared_ptr<const net::PathModel> path_model,
                 sim::SimulationArena& arena) {
+  if (fleet_config != nullptr) {
+    sim::SimulationConfig config = sim_config;
+    config.seed = path_seed;
+    lane.fleet = std::make_unique<fleet::FleetLoop>(
+        stream, *fleet_config, std::move(config), std::move(path_model),
+        &scenario.base, &scenario.ratio);
+    return;
+  }
   if (sim_config.monomorphize) {
     lane.engine = sim::acquire_mono_engine(arena, sim_config);
   }
@@ -121,30 +173,8 @@ void begin_lane(Lane& lane, const workload::RequestStream& stream,
   lane.fallback->begin();
 }
 
-/// Fleet cells run the sequential multi-proxy loop (fleet/fleet.h): one
-/// shared-uplink pass per replication, same shared stream and path
-/// model, seeds derived exactly as for single-cell simulations.
-RunOutcome simulate_fleet(const workload::RequestStream& stream,
-                          const Scenario& scenario,
-                          const sim::SimulationConfig& sim_config,
-                          std::uint64_t path_seed,
-                          std::shared_ptr<const net::PathModel> path_model,
-                          const fleet::FleetConfig& fleet_config) {
-  sim::SimulationConfig config = sim_config;
-  config.seed = path_seed;
-  const fleet::FleetResult fr =
-      fleet::run_fleet(stream, fleet_config, config, std::move(path_model),
-                       &scenario.base, &scenario.ratio);
-  RunOutcome out = extract_outcome(fr.aggregate);
-  out.uplink_utilization = fr.uplink_utilization;
-  out.load_imbalance = fr.load_imbalance;
-  out.peer_hit_ratio = fr.peer_hit_ratio;
-  return out;
-}
-
-/// A pool task: the simulation slots order[first, last). A fleet
-/// simulation is always a task of its own; every other task is a
-/// lockstep group over one request stream.
+/// A pool task: the simulation slots order[first, last), one lockstep
+/// group over one request stream.
 struct Task {
   std::size_t first = 0;
   std::size_t last = 0;
@@ -365,28 +395,48 @@ std::vector<AveragedMetrics> SweepRunner::run(
   // pass feeds each block to every simulation of the group. Group k of
   // a stream holds the k-th simulation of each distinct (policy,
   // estimator) spec pair on it, so no group needs the same arena engine
-  // twice and a worker caches exactly the engines it did before. Replay
-  // streams hand out zero-copy slices, so each of their simulations is
-  // a group of one; fleet cells keep a task of their own. Every
-  // simulation still sees every block in stream order, so results do
-  // not depend on grouping (or on threads, or on the chunk size).
+  // twice and a worker caches exactly the engines it did before. Fleet
+  // cells all share one key, so a group holds at most one fleet: a
+  // 16-proxy fleet is several single cells' worth of memory, and one per
+  // group keeps the peak at one fleet per pool slot, as when fleets ran
+  // alone. Replay streams hand out zero-copy slices, so each of their
+  // simulations is a group of one. Every simulation still sees every
+  // block in stream order, so results do not depend on grouping (or on
+  // threads, or on the chunk size).
   std::vector<std::size_t> pair_of_cell(cells.size());
   std::size_t n_pairs = 0;
+  std::size_t fleet_pair = kNone;
   for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (fleets[c] != nullptr) {
+      if (fleet_pair == kNone) fleet_pair = n_pairs++;
+      pair_of_cell[c] = fleet_pair;
+      continue;
+    }
     std::size_t p = 0;
-    while (p < c && (sims[p].policy != sims[c].policy ||
-                     sims[p].estimator != sims[c].estimator)) {
+    while (p < c &&
+           (fleets[p] != nullptr || sims[p].policy != sims[c].policy ||
+            sims[p].estimator != sims[c].estimator)) {
       ++p;
     }
     pair_of_cell[c] = p == c ? n_pairs++ : pair_of_cell[p];
   }
+  // Session-model key of each cell: the first cell with an identical
+  // interactivity config. A group fills one set of draws per distinct
+  // (replication, session model) among its lanes.
+  std::vector<std::size_t> sessions_of_cell(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    std::size_t p = 0;
+    while (!same_sessions(sims[p].interactivity, sims[c].interactivity)) ++p;
+    sessions_of_cell[c] = p;
+  }
   const bool regenerating =
       fixed != nullptr ? fixed->replayed() == nullptr : !materialize;
   const std::size_t n_streams = fixed != nullptr ? 1 : alphas.size() * runs;
-  // Sort key of each simulation slot: (stream, k) for lockstep members,
-  // a key of its own otherwise; then order[] lists slots group by group,
-  // the groups first: they are the longest tasks, so the pool's tail is
-  // left to tasks of one simulation.
+  // Sort key of each simulation slot: (k, stream) for lockstep members,
+  // a key of its own otherwise; then order[] lists slots group by group.
+  // Group k+1 of a stream never has more members than group k, so this
+  // runs the largest groups first and leaves the pool's tail to the
+  // smallest tasks.
   const std::size_t n_sims = cells.size() * runs;
   std::vector<std::size_t> order(n_sims);
   std::vector<std::pair<std::size_t, std::size_t>> group_key(n_sims);
@@ -396,10 +446,10 @@ std::vector<AveragedMetrics> SweepRunner::run(
     const std::size_t st =
         fixed != nullptr ? 0 : alpha_of_cell[c] * runs + slot % runs;
     order[slot] = slot;
-    if (regenerating && fleets[c] == nullptr) {
-      group_key[slot] = {st, seen[st * n_pairs + pair_of_cell[c]]++};
+    if (regenerating) {
+      group_key[slot] = {seen[st * n_pairs + pair_of_cell[c]]++, st};
     } else {
-      group_key[slot] = {n_streams + slot, 0};
+      group_key[slot] = {kNone, slot};
     }
   }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -415,13 +465,25 @@ std::vector<AveragedMetrics> SweepRunner::run(
     tasks.back().last = i + 1;
   }
 
+  // The path model a draw set samples from: the replication's shared
+  // model, or (share_path_models off) one drawn exactly as each
+  // simulation draws its own.
+  const auto draw_model = [&](std::size_t r) {
+    if (share_models) return path_models[r];
+    util::Rng rng(path_seeds[r]);
+    return std::make_shared<const net::PathModel>(
+        n_paths, scenario_.base, scenario_.ratio, path_config,
+        rng.fork("paths"));
+  };
+
   std::vector<RunOutcome> outcomes(n_sims);
   // Per-simulation wall times land in preallocated slots keyed by the
   // deterministic (cell * runs + replication) index, so collection is
   // thread-safe and the reported distribution is scheduling-independent
   // up to timing noise. A group member is charged its own begin /
   // consume / finish time plus an equal share of the group's block
-  // production, so the slots still sum to the pool's busy time.
+  // production and draws, so the slots still sum to the pool's busy
+  // time.
   std::vector<double> sim_wall(stats != nullptr ? n_sims : 0);
   const std::size_t chunk = base_.sim.stream_chunk;
   const auto execute = [&](Worker& worker, std::size_t t) {
@@ -430,24 +492,39 @@ std::vector<AveragedMetrics> SweepRunner::run(
     const std::size_t r0 = order[task.first] % runs;
     const workload::RequestStream& stream =
         fixed != nullptr ? *fixed : *streams[alpha_of_cell[c0] * runs + r0];
+    const workload::CatalogView view = stream.catalog().view();
     auto mark = std::chrono::steady_clock::now();
-    if (fleets[c0] != nullptr) {
-      outcomes[order[task.first]] = simulate_fleet(
-          stream, scenario_, sims[c0], path_seeds[r0],
-          share_models ? path_models[r0] : nullptr, *fleets[c0]);
-      if (!sim_wall.empty()) sim_wall[order[task.first]] = seconds_since(mark);
-      return;
-    }
     std::vector<Lane>& lanes = worker.lanes;
     lanes.clear();
     lanes.resize(task.last - task.first);
+    worker.active_draws = 0;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       Lane& lane = lanes[i];
       lane.slot = order[task.first + i];
       const std::size_t c = lane.slot / runs;
       const std::size_t r = lane.slot % runs;
-      begin_lane(lane, stream, scenario_, sims[c], path_seeds[r],
-                 share_models ? path_models[r] : nullptr, worker.arena);
+      begin_lane(lane, stream, scenario_, sims[c], fleets[c].get(),
+                 path_seeds[r], share_models ? path_models[r] : nullptr,
+                 worker.arena);
+      // Draws are keyed by replication as well as session model: each
+      // replication has its own path model and session seed, and one
+      // trace-file stream serves every replication.
+      std::size_t d = 0;
+      while (d < worker.active_draws &&
+             (worker.draws[d].run != r ||
+              worker.draws[d].sessions != sessions_of_cell[c])) {
+        ++d;
+      }
+      if (d == worker.active_draws) {
+        if (d == worker.draws.size()) worker.draws.emplace_back();
+        DrawSet& set = worker.draws[d];
+        set.run = r;
+        set.sessions = sessions_of_cell[c];
+        set.draws.reset(view, draw_model(r), sims[c].interactivity,
+                        util::Rng(path_seeds[r]));
+        ++worker.active_draws;
+      }
+      lane.draws = d;
       lane.wall_s = seconds_since(mark);
     }
     double produce_s = 0.0;
@@ -455,15 +532,20 @@ std::vector<AveragedMetrics> SweepRunner::run(
     cursor.bind(stream, chunk);
     for (;;) {
       const workload::RequestBlock* block = cursor.next();
+      if (block != nullptr) {
+        for (std::size_t d = 0; d < worker.active_draws; ++d) {
+          worker.draws[d].draws.fill(*block);
+        }
+      }
       produce_s += seconds_since(mark);
       if (block == nullptr) break;
       for (Lane& lane : lanes) {
-        lane.consume(*block);
+        lane.consume(*block, worker.draws[lane.draws].draws);
         lane.wall_s += seconds_since(mark);
       }
     }
     for (Lane& lane : lanes) {
-      outcomes[lane.slot] = extract_outcome(lane.finish());
+      outcomes[lane.slot] = lane.finish();
       lane.wall_s += seconds_since(mark);
       if (!sim_wall.empty()) {
         sim_wall[lane.slot] =

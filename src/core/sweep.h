@@ -17,10 +17,12 @@
 //      util::ThreadPool, so parallelism spans the entire sweep instead of
 //      one sweep point;
 //   3. runs the simulations that share one regenerating stream in
-//      lockstep: one task pulls each request block from a single cursor
-//      and feeds it to every simulation of its group, so a block is
-//      generated once per group rather than once per simulation, in
-//      O(chunk) memory.
+//      lockstep, fleet cells included: one task pulls each request
+//      block from a single cursor, draws its per-request bandwidth
+//      samples and session lengths once per (replication, session
+//      model) (sim/block_draws.h), and feeds both to every simulation
+//      of its group, so a block is generated and drawn once per group
+//      rather than once per simulation, in O(chunk) memory.
 //
 // Results are BIT-IDENTICAL to the serial path: every task is a pure
 // function of (workload, seeds, config), tasks write into preallocated
@@ -59,11 +61,10 @@ struct SweepCell {
   /// Edge-fleet spec ("" = single-cell simulator; see fleet/fleet.h,
   /// e.g. "fleet:proxies=16,sharding=hash:vnodes=64,uplink_mbps=200").
   /// A fleet cell runs one sequential multi-proxy pass per replication
-  /// over the same shared workload stream and path model; the cell's
+  /// over the same shared workload stream, draws and path model, as a
+  /// lane of a lockstep group (at most one fleet per group); the cell's
   /// cache fraction is the fleet's *aggregate* budget (split evenly
-  /// across proxies). Grid parallelism is across cells x replications,
-  /// exactly as for single-cell sweeps, so results stay bit-identical
-  /// at every --threads.
+  /// across proxies). Results stay bit-identical at every --threads.
   std::string fleet;
 };
 
@@ -76,19 +77,23 @@ struct SweepStats {
   /// ExperimentConfig::streaming (0 under a trace scenario, which
   /// shares one immutable stream across the grid).
   std::size_t workloads_generated = 0;
-  /// Immutable net::PathModel instances built: one per replication when
-  /// sharing (the default), one per simulation otherwise.
+  /// Immutable net::PathModel instances built for the simulations: one
+  /// per replication when sharing (the default), one per simulation
+  /// otherwise. (Without sharing, each lockstep group also draws one
+  /// per replication for its shared draws; those are not counted.)
   std::size_t path_models_built = 0;
   /// Lockstep groups of two or more simulations executed: each is one
   /// cursor pass over a regenerating stream feeding every simulation of
-  /// the group (0 when every stream is replayed from memory).
+  /// the group, fleet cells included (0 when every stream is replayed
+  /// from memory).
   std::size_t lockstep_groups = 0;
   /// Wall-clock seconds attributable to each individual simulation,
   /// indexed by the deterministic (cell * runs + replication) slot
   /// regardless of thread count or scheduling: the simulation's own
   /// begin / consume / finish time plus 1/G of its lockstep group's
-  /// block production (cursor.next()) time, G the group size. The slots
-  /// therefore sum to the pool's busy time. Feeds the benches'
+  /// shared work — block production (cursor.next()) and the per-block
+  /// draws (sim/block_draws.h) — G the group size. The slots therefore
+  /// sum to the pool's busy time. Feeds the benches'
   /// --latency-percentiles reporting (stats::summarize_latencies).
   std::vector<double> sim_wall_s;
 };

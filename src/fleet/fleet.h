@@ -27,10 +27,15 @@
 //
 // Determinism contract: one fleet run is a single sequential pass over
 // the request stream (the shared token bucket must be drained in global
-// arrival order), a pure function of (stream, config, seed). Grid
-// parallelism comes from core::SweepRunner running fleet *cells*
-// concurrently — results are bit-identical at every --threads, and a
-// 10⁸-request fleet stays O(stream_chunk) in memory.
+// arrival order), a pure function of (stream, config, seed). FleetLoop
+// is that pass as a resumable object fed one request block and its
+// draws (sim/block_draws.h) at a time, like sim::RequestLoop: run_fleet
+// drives one from its own cursor, and core::SweepRunner drives fleet
+// cells as lanes of its lockstep groups next to single-cell
+// simulations of the same stream, sharing their blocks and draws (at
+// most one fleet per group, which bounds peak memory). Grid parallelism
+// is across groups, so results are bit-identical at every --threads,
+// and a 10⁸-request fleet stays O(stream_chunk) in memory.
 //
 // Inertness oracle (tests/test_fleet.cpp): a single-proxy fleet with no
 // uplink, no cooperation, and an unscoped fault plan executes the exact
@@ -46,6 +51,7 @@
 
 #include "fleet/sharding.h"
 #include "net/path_process.h"
+#include "sim/block_draws.h"
 #include "sim/simulator.h"
 #include "stats/empirical.h"
 
@@ -160,12 +166,48 @@ struct FleetResult {
   double peer_hit_ratio = 0.0;
 };
 
-/// Run one fleet cell over `stream`. `config` supplies the per-proxy
-/// component specs, the *aggregate* cache budget
-/// (cache_capacity_bytes / proxies per proxy), interactivity/viewing/
-/// patching extensions, the fault plan, and the run seed. `path_model`
-/// may be null, in which case the model is drawn from the seed exactly
-/// as sim::Simulator does (`base`/`ratio` must then be non-null).
+/// One fleet run as a resumable object: the constructor does the
+/// per-run setup, consume() routes and serves one request block, and
+/// finish() drains the deferred observations and returns the result.
+/// Blocks must arrive in stream order, each exactly once, with `draws`
+/// filled for that block by a sim::BlockDraws reset for model(),
+/// `config.interactivity` and Rng(config.seed). `stream` must outlive
+/// the loop.
+class FleetLoop {
+ public:
+  /// Arguments as for run_fleet below.
+  FleetLoop(const workload::RequestStream& stream, const FleetConfig& fleet,
+            sim::SimulationConfig config,
+            std::shared_ptr<const net::PathModel> path_model,
+            const stats::EmpiricalDistribution* base,
+            const stats::EmpiricalDistribution* ratio);
+  ~FleetLoop();
+
+  FleetLoop(const FleetLoop&) = delete;
+  FleetLoop& operator=(const FleetLoop&) = delete;
+
+  /// The run's path model (the given one, or the one drawn from the
+  /// seed).
+  [[nodiscard]] const std::shared_ptr<const net::PathModel>& model() const;
+
+  void consume(const workload::RequestBlock& block,
+               const sim::BlockDraws& draws);
+
+  /// Call once, after the stream's last block.
+  [[nodiscard]] FleetResult finish();
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
+
+/// Run one fleet cell over `stream`: one FleetLoop fed from its own
+/// cursor and draws. `config` supplies the per-proxy component specs,
+/// the *aggregate* cache budget (cache_capacity_bytes / proxies per
+/// proxy), interactivity/viewing/patching extensions, the fault plan,
+/// and the run seed. `path_model` may be null, in which case the model
+/// is drawn from the seed exactly as sim::Simulator does (`base`/`ratio`
+/// must then be non-null).
 [[nodiscard]] FleetResult run_fleet(
     const workload::RequestStream& stream, const FleetConfig& fleet,
     const sim::SimulationConfig& config,

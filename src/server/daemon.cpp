@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -93,14 +94,8 @@ void ProxyDaemon::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   if (ticker_thread_.joinable()) ticker_thread_.join();
   // Connection threads observe stop_ at their next poll timeout.
-  std::vector<std::thread> conns;
-  {
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (Connection& conn : conns_) conn.thread.join();
+  conns_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -108,10 +103,23 @@ void ProxyDaemon::stop() {
   started_ = false;
 }
 
+void ProxyDaemon::reap_connections() {
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void ProxyDaemon::accept_loop() {
-  // Log fd exhaustion once per episode, not once per rejected accept —
-  // a saturated daemon must not also saturate its log.
+  // Log fd exhaustion and spawn failures once per episode, not once per
+  // rejected connection — a saturated daemon must not also saturate its
+  // log.
   bool fd_exhaustion_logged = false;
+  bool spawn_failure_logged = false;
   while (!stop_.load(std::memory_order_relaxed)) {
     pollfd p{listen_fd_, POLLIN, 0};
     const int r = ::poll(&p, 1, kPollMs);
@@ -119,7 +127,10 @@ void ProxyDaemon::accept_loop() {
       if (errno == EINTR) continue;
       return;
     }
-    if (r == 0) continue;
+    if (r == 0) {
+      reap_connections();
+      continue;
+    }
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
@@ -153,9 +164,29 @@ void ProxyDaemon::accept_loop() {
     // ~40ms stall on loopback.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    reap_connections();
+    Connection& conn = conns_.emplace_back();
+    try {
+      conn.thread = std::thread([this, fd, &conn] {
+        handle_connection(fd);
+        conn.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& e) {
+      // Out of threads or address space: shed this connection (the
+      // peer sees a close) and keep serving the ones already open.
+      conns_.pop_back();
+      ::close(fd);
+      if (!spawn_failure_logged) {
+        spawn_failure_logged = true;
+        std::fprintf(stderr,
+                     "ProxyDaemon: connection thread: %s (shedding new "
+                     "connections until threads free up)\n",
+                     e.what());
+      }
+      continue;
+    }
+    spawn_failure_logged = false;
     connections_.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, fd] { handle_connection(fd); });
   }
 }
 

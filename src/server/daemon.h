@@ -14,15 +14,20 @@
 // the stop flag, and receive/send timeouts on connection sockets bound
 // how long a mid-frame peer can hold a thread — so stop() joins every
 // thread and closes every fd it opened (the loopback integration test
-// asserts no fd leaks across a full start/serve/stop cycle).
+// asserts no fd leaks across a full start/serve/stop cycle). The accept
+// loop joins finished connection threads as it goes, so a long-lived
+// daemon holds one thread (and one stack mapping) per *open*
+// connection, not per connection ever accepted; a connection whose
+// thread cannot be spawned is shed (its fd closed) instead of taking
+// the process down.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "server/engine.h"
 
@@ -70,6 +75,15 @@ class ProxyDaemon {
   void accept_loop();
   void ticker_loop();
   void handle_connection(int fd);
+  /// Join and drop the threads of connections that have closed.
+  void reap_connections();
+
+  /// One connection's thread; `done` is set as the thread's last act,
+  /// so joining a done thread never blocks.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
 
   ServiceEngine& engine_;
   DaemonConfig config_;
@@ -80,8 +94,9 @@ class ProxyDaemon {
   std::atomic<std::size_t> connections_{0};
   std::thread accept_thread_;
   std::thread ticker_thread_;
-  std::mutex conn_mu_;  // guards conn_threads_
-  std::vector<std::thread> conn_threads_;
+  /// Live connection threads. Touched only by the accept thread, and by
+  /// stop() once the accept thread has been joined.
+  std::list<Connection> conns_;
   std::mutex tick_mu_;  // pairs with tick_cv_ for prompt shutdown
   std::condition_variable tick_cv_;
 };

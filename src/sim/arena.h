@@ -71,11 +71,14 @@ class MonoEngineBase {
 
   /// The same simulation fed by the caller, block by block:
   /// begin(context), then consume() every block of `context.stream` in
-  /// order, then finish(). core::SweepRunner uses this to drive several
-  /// engines in lockstep from one shared cursor (one virtual call per
+  /// order with its draws (sim/block_draws.h, reset for the context's
+  /// path model, session model and seed), then finish().
+  /// core::SweepRunner uses this to drive several engines in lockstep
+  /// from one shared cursor and shared draws (one virtual call per
   /// request block). Results are bit-identical to run().
   virtual void begin(const MonoRunContext& context) = 0;
-  virtual void consume(const workload::RequestBlock& block) = 0;
+  virtual void consume(const workload::RequestBlock& block,
+                       const BlockDraws& draws) = 0;
   [[nodiscard]] virtual SimulationResult finish() = 0;
 };
 

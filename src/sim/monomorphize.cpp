@@ -182,8 +182,9 @@ class MonoEngine final : public MonoEngineBase {
                   estimator_->kernel(), rng);
   }
 
-  void consume(const workload::RequestBlock& block) override {
-    loop_->consume(block);
+  void consume(const workload::RequestBlock& block,
+               const BlockDraws& draws) override {
+    loop_->consume(block, draws);
   }
 
   SimulationResult finish() override {

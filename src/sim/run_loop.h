@@ -17,6 +17,10 @@
 //     "schedule a completion event?" branch resolves at compile time
 //     via ObservationTraits.
 //
+// The per-request path bandwidth samples and session lengths are not
+// drawn here: sim/block_draws.h fills them per request block, and
+// consume() reads them from the block's draw lanes.
+//
 // The *decision* half of the loop — admission, utility eviction,
 // partial-prefix management, estimator observe/estimate with deferred
 // completion observations — lives in sim/decision.h as the
@@ -35,7 +39,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -44,6 +47,7 @@
 #include "cache/store.h"
 #include "net/fault.h"
 #include "net/path_process.h"
+#include "sim/block_draws.h"
 #include "sim/decision.h"
 #include "sim/delivery.h"
 #include "sim/event_queue.h"
@@ -72,11 +76,14 @@ struct RunState {
   ObservationQueue events;
   cache::PartialStore store{0.0};
   std::vector<InFlightStream> in_flight;
-  std::optional<net::PathSampler> paths;
-  /// Chunk-wise iteration over the run's request stream (when the run
-  /// pulls its own blocks) plus the dense per-object delivery operands
-  /// (see sim/delivery.h). Both reuse their buffers across simulations.
+  /// The run's immutable path model (means, variation mode).
+  std::shared_ptr<const net::PathModel> model;
+  /// Chunk-wise iteration over the run's request stream and the run's
+  /// own per-block draws (both used when the run pulls its own blocks),
+  /// plus the dense per-object delivery operands (see sim/delivery.h).
+  /// All reuse their buffers across simulations.
   workload::RequestCursor cursor;
+  BlockDraws draws;
   DeliveryTable delivery;
   /// Compiled fault schedule (net/fault.h), rebuilt per run from
   /// SimulationConfig::fault. Empty (and never consulted) when the
@@ -84,9 +91,10 @@ struct RunState {
   net::FaultSchedule faults;
 
   /// Prepare for a run over `catalog` and `model` (bit-identical to
-  /// building each member from scratch; storage reused). The cursor is
-  /// bound by run_request_loop; a run fed by an external cursor (a
-  /// lockstep group, see RequestLoop) leaves it idle.
+  /// building each member from scratch; storage reused). The cursor and
+  /// the draws are bound by run_request_loop; a run fed by an external
+  /// cursor and draws (a lockstep group, see RequestLoop) leaves them
+  /// idle.
   void reset(const workload::Catalog& catalog,
              std::shared_ptr<const net::PathModel> model,
              double capacity_bytes, bool patching) {
@@ -100,28 +108,27 @@ struct RunState {
     } else {
       in_flight.clear();
     }
-    if (paths.has_value()) {
-      paths->rebind(std::move(model));
-    } else {
-      paths.emplace(std::move(model));
-    }
+    this->model = std::move(model);
   }
 };
 
 /// One simulation's request loop as a resumable object: the constructor
 /// does the per-run setup, consume() runs the per-request body over one
-/// request block, finish() drains the deferred observations and returns
-/// the measured-window metrics. Blocks must arrive in stream order, each
-/// exactly once. run_request_loop below drives one loop from its own
-/// cursor; core::SweepRunner drives several loops in lockstep from one
-/// shared cursor, so a regenerated block is produced once per group of
-/// simulations instead of once per simulation. Either way the loop
-/// executes the identical expressions in the identical order, so
-/// results cannot depend on who pulls the blocks.
+/// request block and its draws, finish() drains the deferred
+/// observations and returns the measured-window metrics. Blocks must
+/// arrive in stream order, each exactly once, with the draws filled for
+/// that block by a BlockDraws reset for this run's path model, session
+/// model and seed. run_request_loop below drives one loop from its own
+/// cursor and draws; core::SweepRunner drives several loops in lockstep
+/// from one shared cursor and shared draws, so a regenerated block is
+/// produced (and its draws sampled) once per group of simulations
+/// instead of once per simulation. Either way the loop executes the
+/// identical expressions in the identical order, so results cannot
+/// depend on who pulls the blocks.
 ///
 /// `rng` must be the run's root stream (Rng(seed), with "paths" already
 /// forked off by the caller if it built the model here); the loop forks
-/// only the tag-keyed "faults", "viewing" and "session" children during
+/// only the tag-keyed "faults" and "viewing" children during
 /// construction, so fork order elsewhere cannot perturb them. `policy`
 /// needs on_access(id, now_s, store) and name(); `estimator` needs
 /// observe(path, throughput, now_s) and overhead_packets(), plus either
@@ -140,9 +147,8 @@ class RequestLoop {
         view_(stream.catalog().view()),
         total_requests_(stream.num_requests()),
         decisions_(policy, estimator, state.store, state.events),
-        viewing_rng_(rng.fork("viewing")),
-        session_rng_(rng.fork("session")) {
-    const net::PathModel& model = state.paths->model();
+        viewing_rng_(rng.fork("viewing")) {
+    const net::PathModel& model = *state.model;
     // Constant-bandwidth scenarios (the paper's main setting) sample the
     // mean directly: no switch, no sampler state, one contiguous load.
     constant_bw_ = model.mode() == net::VariationMode::kConstant;
@@ -179,9 +185,10 @@ class RequestLoop {
     decisions_.set_faults(faults_);
     warm_count_ = static_cast<std::size_t>(
         static_cast<double>(total_requests_) * config.warmup_fraction);
-    // Session dynamics draw from their own tag-keyed stream so enabling
-    // them never perturbs the viewing/path/estimator streams (and "full"
-    // mode draws nothing at all, keeping it a field-identical oracle).
+    // Session dynamics draw from their own tag-keyed stream (in
+    // BlockDraws) so enabling them never perturbs the viewing/path/
+    // estimator streams (and "full" mode draws nothing at all, keeping
+    // it a field-identical oracle).
     interactive_ = config.interactivity.enabled();
     if (interactive_ && config.viewing.enabled) {
       throw std::invalid_argument(
@@ -201,15 +208,23 @@ class RequestLoop {
   RequestLoop& operator=(const RequestLoop&) = delete;
 
   /// Run the per-request body over every request of `block` (the next
-  /// block of the stream, in order). The block's SoA lanes are read
-  /// sequentially; nothing is retained past the call.
-  void consume(const workload::RequestBlock& block) {
+  /// block of the stream, in order) with `draws` filled for it. The
+  /// block's and the draws' SoA lanes are read sequentially; nothing is
+  /// retained past the call.
+  void consume(const workload::RequestBlock& block, const BlockDraws& draws) {
     // Loop invariants as locals, so the per-request body reads them
     // from registers rather than through `this`.
     const SimulationConfig& config = *config_;
     const workload::CatalogView view = view_;
     const DeliveryTable& pre = state_->delivery;
-    net::PathSampler& paths = *state_->paths;
+    const double* const drawn_bw = draws.bw();
+    const double* const drawn_viewed = draws.viewed_fraction();
+    if ((!constant_bw_ && drawn_bw == nullptr) ||
+        (interactive_ && drawn_viewed == nullptr)) {
+      throw std::logic_error(
+          "RequestLoop::consume: draws not filled for this run's path or "
+          "session model");
+    }
     std::vector<InFlightStream>& in_flight = state_->in_flight;
     const net::FaultSchedule* const faults = faults_;
     const bool constant_bw = constant_bw_;
@@ -233,9 +248,7 @@ class RequestLoop {
         bw = pre.bw[id];
         db = pre.db[id];
       } else {
-        // Variable-bandwidth samplers are stateful and sequential; the
-        // draw stays in the decision loop, in the original order.
-        bw = paths.sample_bandwidth(view.path[id], now_s);
+        bw = drawn_bw[i];
         db = duration_s * bw;
       }
       // Fault injection: an active degrade window scales this path's
@@ -270,9 +283,7 @@ class RequestLoop {
       double viewed_fraction = 1.0;
       double session_s = duration_s;
       if (interactive) {
-        viewed_fraction = sample_viewed_fraction(config.interactivity,
-                                                 duration_s, block.view_s[i],
-                                                 session_rng_);
+        viewed_fraction = drawn_viewed[i];
         if (viewed_fraction < 1.0) {
           session_s = viewed_fraction * duration_s;
           const double viewed_bytes = session_s * bitrate;
@@ -403,7 +414,6 @@ class RequestLoop {
   // the simulated clock and feeds it request arrival times.
   DecisionKernel<Policy, Estimator> decisions_;
   util::Rng viewing_rng_;
-  util::Rng session_rng_;
   MetricsCollector metrics_;
   const net::FaultSchedule* faults_ = nullptr;
   std::size_t warm_count_ = 0;
@@ -413,9 +423,9 @@ class RequestLoop {
 };
 
 /// Execute the full trace and return measured-window metrics: one
-/// RequestLoop fed from `state.cursor`. The stream is consumed in
-/// chunks — the cursor materializes one SoA request block at a time
-/// (replayed, regenerated, or re-read from disk; sources are
+/// RequestLoop fed from `state.cursor` and `state.draws`. The stream is
+/// consumed in chunks — the cursor materializes one SoA request block
+/// at a time (replayed, regenerated, or re-read from disk; sources are
 /// interchangeable and byte-identical) — so results are bit-identical
 /// at every chunk size.
 template <typename Policy, typename Estimator>
@@ -426,9 +436,13 @@ template <typename Policy, typename Estimator>
   RequestLoop<Policy, Estimator> loop(stream, config, state, policy,
                                       estimator, rng);
   workload::RequestCursor& cursor = state.cursor;
+  BlockDraws& draws = state.draws;
   cursor.bind(stream, config.stream_chunk);
+  draws.reset(stream.catalog().view(), state.model, config.interactivity,
+              rng);
   while (const workload::RequestBlock* block = cursor.next()) {
-    loop.consume(*block);
+    draws.fill(*block);
+    loop.consume(*block, draws);
   }
   return loop.finish();
 }

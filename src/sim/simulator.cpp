@@ -164,8 +164,9 @@ void Simulator::begin() {
                           *fallback_->policy, *fallback_->estimator, rng);
 }
 
-void Simulator::consume(const workload::RequestBlock& block) {
-  fallback_->loop->consume(block);
+void Simulator::consume(const workload::RequestBlock& block,
+                        const BlockDraws& draws) {
+  fallback_->loop->consume(block, draws);
 }
 
 SimulationResult Simulator::finish() {

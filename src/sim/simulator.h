@@ -20,6 +20,8 @@
 
 namespace sc::sim {
 
+class BlockDraws;
+
 /// Client interactivity (extension; the paper's §5 cites measurement
 /// studies showing most sessions terminate early). When enabled, each
 /// request watches the whole stream with `complete_probability`,
@@ -157,13 +159,15 @@ class Simulator {
 
   /// The virtual-path run fed by the caller, block by block: begin(),
   /// then consume() every block of the simulator's stream in order (from
-  /// any cursor over it), then finish(). Bit-identical to run();
-  /// core::SweepRunner drives several simulations of one stream in
-  /// lockstep this way so each block is produced once per group. This
-  /// always takes the virtual fallback path — the monomorphized engines
-  /// expose the same surface through MonoEngineBase.
+  /// any cursor over it) with its draws (sim/block_draws.h, reset for
+  /// this run's path model, session model and seed), then finish().
+  /// Bit-identical to run(); core::SweepRunner drives several
+  /// simulations of one stream in lockstep this way so each block and
+  /// its draws are produced once per group. This always takes the
+  /// virtual fallback path — the monomorphized engines expose the same
+  /// surface through MonoEngineBase.
   void begin();
-  void consume(const workload::RequestBlock& block);
+  void consume(const workload::RequestBlock& block, const BlockDraws& draws);
   [[nodiscard]] SimulationResult finish();
 
   ~Simulator();

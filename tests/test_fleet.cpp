@@ -170,6 +170,30 @@ TEST(Fleet, SingleProxyFleetFieldIdenticalToSimulator) {
   EXPECT_GT(results[2].denied_requests, 0.0);
 }
 
+TEST(Fleet, SingleProxyFleetLaneFieldIdenticalToItsTwinInOneGroup) {
+  // Under kStream a 1-proxy fleet cell and its single-cell twin on the
+  // same stream run as lanes of one lockstep group, reading the same
+  // blocks and the same shared draws. Under variable bandwidth, a
+  // passive estimator and session dynamics (so both draw lanes are
+  // live), the fleet lane must still come out field-identical.
+  std::vector<SweepCell> cells;
+  cells.push_back(SweepCell{"pb", -1.0, 0.05, {}, {}, {}});
+  cells.push_back(SweepCell{"pb", -1.0, 0.05, {}, {}, "fleet:proxies=1"});
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExperimentConfig cfg = small_config();
+    cfg.threads = threads;
+    cfg.streaming = workload::StreamingMode::kStream;
+    cfg.sim.estimator = "ewma";
+    cfg.sim.interactivity = sim::InteractivityConfig::parse("exp:mean=600");
+    core::SweepStats stats;
+    const auto results =
+        SweepRunner(cfg, core::measured_variability_scenario())
+            .run(cells, &stats);
+    EXPECT_EQ(stats.lockstep_groups, cfg.runs);  // {twin, fleet} per run
+    expect_identical(results[0], results[1]);
+  }
+}
+
 // ------------------------------------------------------------ determinism
 
 TEST(Fleet, ThreadCountNeverChangesAnyFleetMetric) {

@@ -275,8 +275,9 @@ TEST(StreamedSimulation, LockstepGroupsMatchMaterializedOnAMixedGrid) {
   // kind of simulation a group can hold — repeated spec pairs (several
   // groups per stream), an out-of-table user-registered policy (a
   // virtual-fallback member), session dynamics, a fault plan, a second
-  // alpha, and a fleet cell (a task of its own) — must come out
-  // field-identical to the materialized path at threads 1 and 4.
+  // alpha, and a fleet cell (a lane of the stream's first group) — must
+  // come out field-identical to the materialized path at threads 1 and
+  // 4.
   static const registry::PolicyRegistrar registrar(
       {"test-stream-pb", {}, "test-only PB clone (fallback path)", {}},
       [](const util::Spec&, const registry::PolicyContext& ctx) {
@@ -313,12 +314,114 @@ TEST(StreamedSimulation, LockstepGroupsMatchMaterializedOnAMixedGrid) {
           "cell " + std::to_string(c) + " threads=" + std::to_string(threads));
     }
     // Replayed streams run every simulation alone. Per run, the
-    // alpha-0.73 stream holds three groups ({pb, lru, test-stream-pb},
-    // then {pb, lru} twice); the lone alpha-1.0 cell and the fleet cell
-    // run alone.
+    // alpha-0.73 stream holds three groups ({pb, lru, test-stream-pb,
+    // fleet}, then {pb, lru} twice); the lone alpha-1.0 cell runs alone.
     EXPECT_EQ(materialized_stats.lockstep_groups, 0u);
     EXPECT_EQ(streamed_stats.lockstep_groups, 3 * cfg.runs);
   }
+}
+
+TEST(StreamedSimulation, LockstepGroupsShareDrawsExactly) {
+  // A group fills one set of per-request draws (bandwidth samples and
+  // session lengths) per distinct (replication, session model) and
+  // hands it to every lane of that key. Under both variable-bandwidth
+  // samplers (i.i.d. ratios and the stateful AR(1) time series), with
+  // and without shared path models, a group mixing four session models,
+  // a fault plan, a hash fleet and a cooperating fleet behind a finite
+  // uplink must match the materialized path (every simulation alone,
+  // with its own draws) field for field.
+  const std::vector<SweepCell> cells = {
+      {"pb", -1.0, 0.01, {}, {}, {}},
+      {"lru", -1.0, 0.01, "empirical", {}, {}},
+      {"if", -1.0, 0.02, "exp:mean=300", {}, {}},
+      {"pb", -1.0, 0.04, "full", {}, {}},
+      {"lru", -1.0, 0.04, {}, "fault:outage=5000+4000,degrade=1000+2000x0.5",
+       {}},
+      {"pb", -1.0, 0.04, {}, {}, "fleet:proxies=4,sharding=hash:vnodes=16"},
+      {"pb", -1.0, 0.04, "empirical", {},
+       "fleet:proxies=4,sharding=random,uplink_mbps=50,coop=1"},
+      {"pb", -1.0, 0.02, "exp:mean=300", "fault:outage=5000+4000", {}},
+  };
+  for (const Scenario& scenario :
+       {measured_variability_scenario(),
+        timeseries_scenario(net::MeasuredPath::kTaiwan)}) {
+    for (const bool share_models : {true, false}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        ExperimentConfig cfg = base_config(threads, 256);
+        cfg.sim.estimator = "ewma";
+        cfg.sim.interactivity =
+            sim::InteractivityConfig::parse("exp:mean=600");
+        cfg.share_path_models = share_models;
+        cfg.streaming = workload::StreamingMode::kMaterialize;
+        const auto materialized = SweepRunner(cfg, scenario).run(cells);
+        cfg.streaming = workload::StreamingMode::kStream;
+        SweepStats stats;
+        const auto streamed = SweepRunner(cfg, scenario).run(cells, &stats);
+        ASSERT_EQ(materialized.size(), cells.size());
+        ASSERT_EQ(streamed.size(), cells.size());
+        const std::string label = scenario.name +
+                                  (share_models ? " shared" : " unshared") +
+                                  " threads=" + std::to_string(threads);
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+          expect_all_fields_identical(materialized[c], streamed[c],
+                                      label + " cell " + std::to_string(c));
+        }
+        // Per run: {pb, lru, if, fleet} and {pb, lru, fleet}; the third
+        // pb cell runs alone.
+        EXPECT_EQ(stats.lockstep_groups, 2 * cfg.runs) << label;
+      }
+    }
+  }
+}
+
+TEST(StreamedSimulation, TraceFileGroupsNeverShareDrawsAcrossReplications) {
+  // A trace:...,stream=1 scenario has one stream for the whole grid, so
+  // every replication's simulations are grouped over the same stream,
+  // while their path models and session seeds differ. Under variable
+  // bandwidth and session dynamics, with fleets in the groups, the
+  // streamed file must match its in-memory replay (every simulation
+  // alone) field for field.
+  workload::WorkloadConfig wcfg;
+  wcfg.catalog.num_objects = 150;
+  wcfg.trace.num_requests = 3000;
+  util::Rng rng(79);
+  const auto w = workload::generate_workload(wcfg, rng);
+  const auto trace_path =
+      std::filesystem::temp_directory_path() / "sc_stream_draws.trace";
+  workload::write_trace(w, trace_path);
+  const std::string spec =
+      "trace:file=" + trace_path.string() + ",bw=measured";
+  const auto replayed = registry::make_scenario(spec);
+  const auto streamed = registry::make_scenario(spec + ",stream=1");
+  const std::vector<SweepCell> cells = {
+      {"pb", -1.0, 0.02, {}, {}, {}},
+      {"lru", -1.0, 0.02, "empirical", {}, {}},
+      {"pb", -1.0, 0.05, {}, {}, "fleet:proxies=4,sharding=hash:vnodes=16"},
+      {"pb", -1.0, 0.05, {}, {},
+       "fleet:proxies=4,sharding=random,uplink_mbps=50,coop=1"},
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ExperimentConfig cfg = base_config(threads, 256);
+    cfg.runs = 3;
+    cfg.sim.estimator = "ewma";
+    cfg.sim.interactivity = sim::InteractivityConfig::parse("exp:mean=600");
+    SweepStats replay_stats;
+    const auto a = SweepRunner(cfg, replayed).run(cells, &replay_stats);
+    SweepStats stream_stats;
+    const auto b = SweepRunner(cfg, streamed).run(cells, &stream_stats);
+    ASSERT_EQ(a.size(), cells.size());
+    ASSERT_EQ(b.size(), cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      expect_all_fields_identical(
+          a[c], b[c],
+          "cell " + std::to_string(c) + " threads=" + std::to_string(threads));
+    }
+    // One stream for the grid: per run, {pb, lru, first fleet}; the
+    // second fleet of each run runs alone.
+    EXPECT_EQ(replay_stats.lockstep_groups, 0u);
+    EXPECT_EQ(stream_stats.lockstep_groups, cfg.runs);
+  }
+  std::filesystem::remove(trace_path);
 }
 
 TEST(StreamedSimulation, SweepSharesOneStreamPerAlphaRun) {
