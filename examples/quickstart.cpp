@@ -1,6 +1,8 @@
-// Quickstart: build a small streaming workload, attach a network-aware
-// partial-caching accelerator (the paper's PB policy) to an edge cache,
-// and watch service delay collapse as the cache learns the workload.
+// Quickstart: build a small streaming workload, put the network-aware
+// partial-caching decision kernel (the paper's PB policy) in front of its
+// origin paths, and watch service delay collapse as the cache learns the
+// workload. sim::DecisionKernel is the online decision object the live
+// proxy daemon drives; here the trace's arrival times are its clock.
 //
 // Run: ./quickstart [--objects N] [--requests N] [--cache-gb G]
 //                    [--policy <spec>] [--estimator <spec>]
@@ -8,12 +10,15 @@
 
 #include <cstdio>
 
-#include "core/accelerator.h"
+#include "cache/store.h"
 #include "core/registry.h"
 #include "net/bandwidth_model.h"
 #include "net/path_process.h"
 #include "net/units.h"
 #include "net/variability.h"
+#include "sim/decision.h"
+#include "sim/delivery.h"
+#include "sim/event_queue.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -46,16 +51,19 @@ int run_main(int argc, char** argv) {
       rng.fork("paths"));
   net::PathSampler paths(model);
 
-  // 3. The accelerator: a partial-object store managed by a
+  // 3. The decision kernel: a partial-object store managed by a
   //    network-aware policy, fed by a bandwidth estimator — both
-  //    addressed by spec strings.
+  //    addressed by spec strings — plus the queue that defers each
+  //    transfer's throughput observation until the transfer completes.
   const auto estimator = core::registry::make_estimator(
       cli.get_or("estimator", std::string("ewma:alpha=0.3")), *model,
       rng.fork("estimator"));
-  core::AcceleratorConfig acfg;
-  acfg.capacity_bytes = net::from_gb(cli.get_or("cache-gb", 8.0));
-  acfg.policy = cli.get_or("policy", std::string("pb"));
-  core::Accelerator accelerator(w.catalog, *estimator, acfg);
+  const auto policy = core::registry::make_policy(
+      cli.get_or("policy", std::string("pb")), w.catalog, *estimator);
+  cache::PartialStore store(net::from_gb(cli.get_or("cache-gb", 8.0)));
+  sim::ObservationQueue observations;
+  sim::DecisionKernel<cache::CachePolicy, net::BandwidthEstimator> kernel(
+      *policy, *estimator, store, observations);
 
   // 4. Replay the trace; report delay/quality in trace quarters so the
   //    learning effect is visible.
@@ -70,14 +78,21 @@ int run_main(int argc, char** argv) {
     const auto& obj = w.catalog.object(req.object);
     const double bw = paths.sample_bandwidth(obj.path, req.time_s);
 
-    const core::DeliveryPlan plan =
-        accelerator.serve(req.object, req.time_s, bw);
-    // Passive measurement: the proxy observes the origin connection.
-    accelerator.observe_transfer(obj.path, bw, req.time_s);
+    // Serve from the cached prefix plus the origin (§2.2), then let the
+    // policy decide what to keep. Passive measurement: the estimator
+    // learns the origin transfer's throughput when it completes.
+    kernel.tick(req.time_s);
+    const sim::ServiceOutcome outcome =
+        sim::deliver(obj, bw, kernel.cached(req.object));
+    if (outcome.bytes_from_origin > 0) {
+      kernel.record_transfer(obj.path, outcome.origin_throughput,
+                             req.time_s + outcome.origin_transfer_s);
+    }
+    kernel.admit(req.object, req.time_s);
 
-    delay_acc += plan.outcome.delay_s;
-    quality_acc += plan.outcome.quality;
-    cache_bytes += plan.outcome.bytes_from_cache;
+    delay_acc += outcome.delay_s;
+    quality_acc += outcome.quality;
+    cache_bytes += outcome.bytes_from_cache;
     total_bytes += obj.size_bytes;
     ++in_quarter;
 
@@ -88,16 +103,16 @@ int run_main(int argc, char** argv) {
                      util::Table::num(quality_acc / q, 3),
                      util::Table::num(cache_bytes / total_bytes, 3),
                      util::Table::num(
-                         net::to_gb(accelerator.occupancy_bytes()), 2)});
+                         net::to_gb(store.used()), 2)});
       delay_acc = quality_acc = cache_bytes = total_bytes = 0;
       in_quarter = 0;
     }
   }
 
   std::printf("Network-aware partial caching quickstart (%s policy)\n",
-              accelerator.policy_name().c_str());
+              policy->name().c_str());
   std::printf("objects=%zu requests=%zu cache=%.1f GB\n\n", w.catalog.size(),
-              w.requests.size(), net::to_gb(accelerator.capacity_bytes()));
+              w.requests.size(), net::to_gb(store.capacity()));
   table.print();
   std::printf(
       "\nThe cache admits prefixes of objects whose origin bandwidth cannot\n"

@@ -102,11 +102,9 @@ bool same_sessions(const sim::InteractivityConfig& a,
           a.mean_s == b.mean_s);
 }
 
-/// The per-request draws (sim/block_draws.h) of one (replication,
-/// session model) within a group, filled once per block for every lane
-/// of that key.
+/// The per-request draws (sim/block_draws.h) of one session model within
+/// a group, filled once per block for every lane of that model.
 struct DrawSet {
-  std::size_t run = 0;
   std::size_t sessions = 0;
   sim::BlockDraws draws;
 };
@@ -141,10 +139,8 @@ void begin_lane(Lane& lane, const workload::RequestStream& stream,
                 std::shared_ptr<const net::PathModel> path_model,
                 sim::SimulationArena& arena) {
   if (fleet_config != nullptr) {
-    sim::SimulationConfig config = sim_config;
-    config.seed = path_seed;
     lane.fleet = std::make_unique<fleet::FleetLoop>(
-        stream, *fleet_config, std::move(config), std::move(path_model),
+        stream, *fleet_config, sim_config, path_seed, std::move(path_model),
         &scenario.base, &scenario.ratio);
     return;
   }
@@ -422,7 +418,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
   }
   // Session-model key of each cell: the first cell with an identical
   // interactivity config. A group fills one set of draws per distinct
-  // (replication, session model) among its lanes.
+  // session model among its lanes.
   std::vector<std::size_t> sessions_of_cell(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
     std::size_t p = 0;
@@ -502,26 +498,24 @@ std::vector<AveragedMetrics> SweepRunner::run(
       Lane& lane = lanes[i];
       lane.slot = order[task.first + i];
       const std::size_t c = lane.slot / runs;
-      const std::size_t r = lane.slot % runs;
       begin_lane(lane, stream, scenario_, sims[c], fleets[c].get(),
-                 path_seeds[r], share_models ? path_models[r] : nullptr,
+                 path_seeds[r0], share_models ? path_models[r0] : nullptr,
                  worker.arena);
-      // Draws are keyed by replication as well as session model: each
-      // replication has its own path model and session seed, and one
-      // trace-file stream serves every replication.
+      // Every lane of a group runs the group's replication r0 (group k
+      // of a stream holds the k-th simulation of each spec pair, and
+      // slot = cell * runs + run, so k % runs == run), so draws are
+      // keyed by session model alone.
       std::size_t d = 0;
       while (d < worker.active_draws &&
-             (worker.draws[d].run != r ||
-              worker.draws[d].sessions != sessions_of_cell[c])) {
+             worker.draws[d].sessions != sessions_of_cell[c]) {
         ++d;
       }
       if (d == worker.active_draws) {
         if (d == worker.draws.size()) worker.draws.emplace_back();
         DrawSet& set = worker.draws[d];
-        set.run = r;
         set.sessions = sessions_of_cell[c];
-        set.draws.reset(view, draw_model(r), sims[c].interactivity,
-                        util::Rng(path_seeds[r]));
+        set.draws.reset(view, draw_model(r0), sims[c].interactivity,
+                        util::Rng(path_seeds[r0]));
         ++worker.active_draws;
       }
       lane.draws = d;

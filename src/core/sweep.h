@@ -19,8 +19,8 @@
 //   3. runs the simulations that share one regenerating stream in
 //      lockstep, fleet cells included: one task pulls each request
 //      block from a single cursor, draws its per-request bandwidth
-//      samples and session lengths once per (replication, session
-//      model) (sim/block_draws.h), and feeds both to every simulation
+//      samples and session lengths once per session model
+//      (sim/block_draws.h), and feeds both to every simulation
 //      of its group, so a block is generated and drawn once per group
 //      rather than once per simulation, in O(chunk) memory.
 //

@@ -3,13 +3,14 @@
 //
 // The paper evaluates a single cache in front of bottlenecked paths; its
 // deployment target is a CDN-style edge of many proxies. A fleet cell
-// instantiates N copies of the existing decision machinery — each proxy
-// wraps the clock-agnostic sim::DecisionKernel with its own byte-budget
-// cache::PartialStore, registry-built policy, and estimator — and routes
-// every request of the shared workload::RequestStream through a
-// client→proxy assignment layer (fleet/sharding.h). Three fleet-only
-// couplings sit on top, each flag-gated so a trivial fleet degenerates
-// to the single-cell simulator:
+// serves the shared workload::RequestStream through the one request loop
+// (sim::RequestLoop, sim/run_loop.h) over N proxy units — each a
+// registry-built policy and estimator with its own byte-budget
+// cache::PartialStore, observation queue, patching table and fault
+// schedule, built exactly as a single cell's — and plugs the fleet-only
+// couplings into the loop's hooks: a client→proxy assignment layer
+// (fleet/sharding.h) routes every request, and three couplings sit on
+// top, each flag-gated so a trivial fleet serves as a single cell:
 //
 //   * Shared origin uplink: every proxy's misses drain one token bucket
 //     (`uplink_mbps` refill, `burst_mb` depth) layered over the §2.2
@@ -38,9 +39,10 @@
 // and a 10⁸-request fleet stays O(stream_chunk) in memory.
 //
 // Inertness oracle (tests/test_fleet.cpp): a single-proxy fleet with no
-// uplink, no cooperation, and an unscoped fault plan executes the exact
-// expression stream of sim/run_loop.h's virtual fallback — every field
-// of the aggregate result is identical.
+// uplink, no cooperation, and an unscoped fault plan runs the single
+// cell's loop body over the single cell's unit, so every field of the
+// aggregate result is identical by construction; the test keeps
+// checking it, including under patching and client interactivity.
 #pragma once
 
 #include <algorithm>
@@ -166,18 +168,19 @@ struct FleetResult {
   double peer_hit_ratio = 0.0;
 };
 
-/// One fleet run as a resumable object: the constructor does the
-/// per-run setup, consume() routes and serves one request block, and
-/// finish() drains the deferred observations and returns the result.
-/// Blocks must arrive in stream order, each exactly once, with `draws`
-/// filled for that block by a sim::BlockDraws reset for model(),
-/// `config.interactivity` and Rng(config.seed). `stream` must outlive
-/// the loop.
+/// One fleet run as a resumable object: the constructor builds the
+/// proxies and the couplings, consume() routes and serves one request
+/// block through sim::RequestLoop, and finish() drains the deferred
+/// observations and folds the result. Blocks must arrive in stream
+/// order, each exactly once, with `draws` filled for that block by a
+/// sim::BlockDraws reset for model(), `config.interactivity` and
+/// Rng(seed). `stream` and `config` must outlive the loop.
 class FleetLoop {
  public:
-  /// Arguments as for run_fleet below.
+  /// Arguments as for run_fleet below, except that the run seed is
+  /// `seed` (`config.seed` is ignored).
   FleetLoop(const workload::RequestStream& stream, const FleetConfig& fleet,
-            sim::SimulationConfig config,
+            const sim::SimulationConfig& config, std::uint64_t seed,
             std::shared_ptr<const net::PathModel> path_model,
             const stats::EmpiricalDistribution* base,
             const stats::EmpiricalDistribution* ratio);
@@ -204,7 +207,7 @@ class FleetLoop {
 /// Run one fleet cell over `stream`: one FleetLoop fed from its own
 /// cursor and draws. `config` supplies the per-proxy component specs,
 /// the *aggregate* cache budget (cache_capacity_bytes / proxies per
-/// proxy), interactivity/viewing/patching extensions, the fault plan,
+/// proxy), the session-model and patching extensions, the fault plan,
 /// and the run seed. `path_model` may be null, in which case the model
 /// is drawn from the seed exactly as sim::Simulator does (`base`/`ratio`
 /// must then be non-null).

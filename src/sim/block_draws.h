@@ -13,9 +13,10 @@
 //
 //   - a solo run (sim::run_request_loop, fleet::run_fleet) fills its own
 //     draws before consuming each block;
-//   - core::SweepRunner fills one BlockDraws per distinct (replication,
-//     session model) in a lockstep group and hands it to every member,
-//     so a group of G simulations samples once per request, not G times.
+//   - core::SweepRunner fills one BlockDraws per distinct session model
+//     in a lockstep group (whose members share one replication) and
+//     hands it to every member, so a group of G simulations samples
+//     once per request, not G times.
 //
 // Both come from the replication's path model and Rng(seed).fork(
 // "session"), exactly the streams the loops used to draw from inline,

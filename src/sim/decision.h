@@ -77,6 +77,8 @@ class DecisionKernel {
         events_(&events),
         observes_(ObservationTraits<Estimator>::uses(estimator)) {}
 
+  [[nodiscard]] Policy& policy() noexcept { return *policy_; }
+  [[nodiscard]] Estimator& estimator() noexcept { return *estimator_; }
   [[nodiscard]] cache::PartialStore& store() noexcept { return *store_; }
   [[nodiscard]] const cache::PartialStore& store() const noexcept {
     return *store_;

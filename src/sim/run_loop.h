@@ -1,21 +1,37 @@
-// The per-request simulation loop, as a template over the policy and
-// estimator's *static* types.
+// The per-request simulation loop: the one body every trace-driven run
+// executes, as a template over the policy and estimator's *static*
+// types and the couplings between proxy units.
 //
 // There is exactly one implementation of the trace-driven request loop
 // (§3 methodology: warmup half, measured half, deferred completion
-// observations, viewing/patching extensions). It is instantiated twice:
+// observations, viewing/patching extensions). It serves an array of one
+// or more *proxy units*: a unit is one cache — a policy, an estimator,
+// and the unit's ProxyState (store, observation queue, in-flight
+// patching table, fault schedule). What couples the units is a
+// compile-time Couplings type whose hooks the body calls at fixed
+// points: routing (which unit serves the request), peer cooperation
+// (between the viewing step and patching), the shared uplink (after
+// patching), and per-unit stats. The loop is instantiated three ways:
 //
 //   - the virtual fallback (sim/simulator.cpp): Policy = the
 //     cache::CachePolicy interface, Estimator = the
-//     net::BandwidthEstimator interface. This is the regression oracle
-//     and the path user-registered (out-of-dispatch-table) components
-//     run on.
+//     net::BandwidthEstimator interface, one unit, no couplings. This is
+//     the regression oracle and the path user-registered
+//     (out-of-dispatch-table) components run on.
 //   - the monomorphized engines (sim/monomorphize.cpp): Policy = a
 //     MonoPolicyRef over a concrete cache::UtilityPolicy<Kernel>,
-//     Estimator = a concrete estimator kernel. Every per-request call
-//     (estimate, observe, utility, admission) inlines, and the
-//     "schedule a completion event?" branch resolves at compile time
-//     via ObservationTraits.
+//     Estimator = a concrete estimator kernel, one unit, no couplings.
+//     Every per-request call (estimate, observe, utility, admission)
+//     inlines, and the "schedule a completion event?" branch resolves at
+//     compile time via ObservationTraits.
+//   - the edge fleet (fleet/fleet.cpp): the virtual interfaces, one unit
+//     per proxy, and the fleet's couplings.
+//
+// A single cell's Couplings is SingleCell: every hook is an empty inline
+// function and its only unit lives inline in the loop, bound once per
+// block, so the single-cell instantiations compile to the plain one-cache
+// loop. A one-proxy fleet executes the same body over the same unit, so
+// it matches the single cell field for field by construction.
 //
 // The per-request path bandwidth samples and session lengths are not
 // drawn here: sim/block_draws.h fills them per request block, and
@@ -30,21 +46,26 @@
 // clock. The live proxy daemon (src/server/) drives the identical
 // kernel from the wall clock.
 //
-// Because both instantiations execute the identical expressions in the
+// Because every instantiation executes the identical expressions in the
 // identical order over the identical RNG streams, their results are
 // bit-identical (tests/test_mono.cpp asserts this for every registered
-// policy x estimator pair, and the golden CSVs under tests/golden/ pin
-// the series across refactors of this file).
+// policy x estimator pair, tests/test_fleet.cpp for one-proxy fleets,
+// and the golden CSVs under tests/golden/ pin the series across
+// refactors of this file).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "cache/policy.h"
 #include "cache/store.h"
+#include "net/estimator.h"
 #include "net/fault.h"
 #include "net/path_process.h"
 #include "sim/block_draws.h"
@@ -67,38 +88,16 @@ struct InFlightStream {
   double end = 0.0;
 };
 
-/// The reusable mutable state of one simulation run: everything the
-/// request loop mutates that is sized by the catalog rather than learned
-/// per run. A sim::SimulationArena keeps one RunState per cached engine
-/// so back-to-back simulations reuse the storage; reset() restores every
-/// piece to its freshly-constructed state.
-struct RunState {
+/// The reusable mutable state of one proxy unit. reset() restores it to
+/// its freshly-constructed state, reusing the storage; the RequestLoop
+/// serving the unit compiles its fault schedule.
+struct ProxyState {
   ObservationQueue events;
   cache::PartialStore store{0.0};
   std::vector<InFlightStream> in_flight;
-  /// The run's immutable path model (means, variation mode).
-  std::shared_ptr<const net::PathModel> model;
-  /// Chunk-wise iteration over the run's request stream and the run's
-  /// own per-block draws (both used when the run pulls its own blocks),
-  /// plus the dense per-object delivery operands (see sim/delivery.h).
-  /// All reuse their buffers across simulations.
-  workload::RequestCursor cursor;
-  BlockDraws draws;
-  DeliveryTable delivery;
-  /// Compiled fault schedule (net/fault.h), rebuilt per run from
-  /// SimulationConfig::fault. Empty (and never consulted) when the
-  /// run's plan is empty.
   net::FaultSchedule faults;
 
-  /// Prepare for a run over `catalog` and `model` (bit-identical to
-  /// building each member from scratch; storage reused). The cursor and
-  /// the draws are bound by run_request_loop; a run fed by an external
-  /// cursor and draws (a lockstep group, see RequestLoop) leaves them
-  /// idle.
-  void reset(const workload::Catalog& catalog,
-             std::shared_ptr<const net::PathModel> model,
-             double capacity_bytes, bool patching) {
-    const std::size_t n_objects = catalog.size();
+  void reset(std::size_t n_objects, double capacity_bytes, bool patching) {
     events.clear();
     events.reserve(64);
     store.reset(capacity_bytes);
@@ -108,8 +107,93 @@ struct RunState {
     } else {
       in_flight.clear();
     }
+  }
+};
+
+/// The reusable mutable state of one simulation run: everything the
+/// request loop mutates that is sized by the catalog rather than learned
+/// per run. A sim::SimulationArena keeps one RunState per cached engine
+/// so back-to-back simulations reuse the storage.
+struct RunState {
+  /// A single cell's only proxy unit (a fleet keeps its proxies' states
+  /// itself and leaves this one idle).
+  ProxyState proxy;
+  /// The run's immutable path model (means, variation mode).
+  std::shared_ptr<const net::PathModel> model;
+  /// Chunk-wise iteration over the run's request stream and the run's
+  /// own per-block draws (both used when the run pulls its own blocks),
+  /// plus the dense per-object delivery operands (see sim/delivery.h).
+  /// All reuse their buffers across simulations.
+  workload::RequestCursor cursor;
+  BlockDraws draws;
+  DeliveryTable delivery;
+
+  /// Prepare a single-cell run over `catalog` and `model` (bit-identical
+  /// to building each member from scratch; storage reused). The cursor
+  /// and the draws are bound by run_request_loop; a run fed by an
+  /// external cursor and draws (a lockstep group, see RequestLoop) leaves
+  /// them idle.
+  void reset(const workload::Catalog& catalog,
+             std::shared_ptr<const net::PathModel> model,
+             double capacity_bytes, bool patching) {
+    proxy.reset(catalog.size(), capacity_bytes, patching);
     this->model = std::move(model);
   }
+};
+
+/// One proxy unit as the request loop serves it: the decision kernel over
+/// the unit's components, its state, and its fault schedule (bound by the
+/// loop; null with an empty fault plan).
+template <typename Policy, typename Estimator>
+struct ProxyUnit {
+  ProxyUnit(Policy& policy, Estimator& estimator, ProxyState& state)
+      : decisions(policy, estimator, state.store, state.events),
+        state(&state) {}
+
+  DecisionKernel<Policy, Estimator> decisions;
+  ProxyState* state;
+  const net::FaultSchedule* faults = nullptr;
+};
+
+/// The registry-built components of one virtual-path proxy unit.
+struct VirtualProxy {
+  std::unique_ptr<net::BandwidthEstimator> estimator;
+  std::unique_ptr<cache::CachePolicy> policy;
+};
+
+/// Build proxy `proxy`'s components for `config` through the registry:
+/// the estimator seeded from `rng`'s "estimator" fork ("estimator#<proxy>"
+/// after the first, so a fleet's proxy 0 is seeded as a single cell),
+/// then the policy over it. Shared by sim::Simulator's fallback run and
+/// every fleet::FleetLoop proxy.
+[[nodiscard]] VirtualProxy make_virtual_proxy(const SimulationConfig& config,
+                                              const workload::Catalog& catalog,
+                                              const net::PathModel& model,
+                                              const util::Rng& rng,
+                                              std::size_t proxy);
+
+/// The couplings of a single cell: none. One standalone unit (unscoped
+/// fault windows only) serves every request and every hook is empty.
+/// The fleet's couplings (fleet/fleet.cpp) fill the same hooks.
+struct SingleCell {
+  /// Whether the couplings route each request to one of several units
+  /// through route(request index, object id) (false: the loop binds its
+  /// one unit once per block).
+  static constexpr bool kRoutes = false;
+  /// The fault scope unit `p` compiles the run's plan for.
+  static net::FaultScope fault_scope(std::size_t) { return {}; }
+  /// Serve part of the origin remainder from peer units; returns the
+  /// peer bytes used.
+  static double cooperate(std::uint32_t, workload::ObjectId, double,
+                          ServiceOutcome&) {
+    return 0.0;
+  }
+  /// Pass the origin remainder through a shared uplink.
+  static void share_uplink(double, ServiceOutcome&) {}
+  /// Per-unit measured-window stats.
+  static void record(std::uint32_t, double, const ServiceOutcome&, double) {}
+  static void record_denied(std::uint32_t, double) {}
+  static void record_fill(std::uint32_t, double) {}
 };
 
 /// One simulation's request loop as a resumable object: the constructor
@@ -134,78 +218,44 @@ struct RunState {
 /// observe(path, throughput, now_s) and overhead_packets(), plus either
 /// uses_observations() or the kernel kUsesObservations constant. All
 /// referenced objects must outlive the loop.
-template <typename Policy, typename Estimator>
+template <typename Policy, typename Estimator, typename Couplings = SingleCell>
 class RequestLoop {
  public:
+  using Unit = ProxyUnit<Policy, Estimator>;
+
+  /// A single cell: one unit over `policy`, `estimator` and
+  /// `state.proxy`.
   RequestLoop(const workload::RequestStream& stream,
               const SimulationConfig& config, RunState& state,
               Policy& policy, Estimator& estimator, const util::Rng& rng)
       : config_(&config),
         state_(&state),
-        policy_(&policy),
-        estimator_(&estimator),
+        own_unit_(std::in_place, policy, estimator, state.proxy),
         view_(stream.catalog().view()),
         total_requests_(stream.num_requests()),
-        decisions_(policy, estimator, state.store, state.events),
         viewing_rng_(rng.fork("viewing")) {
-    const net::PathModel& model = *state.model;
-    // Constant-bandwidth scenarios (the paper's main setting) sample the
-    // mean directly: no switch, no sampler state, one contiguous load.
-    constant_bw_ = model.mode() == net::VariationMode::kConstant;
-    // One up-front scan keeps the unchecked fast-path read in consume()
-    // safe for hand-built catalogs whose per-object path ids exceed the
-    // model (generated catalogs always use path == id < size).
-    for (std::size_t i = 0; i < view_.size; ++i) {
-      if (view_.path[i] >= model.size()) {
-        throw std::out_of_range("run_request_loop: object path id " +
-                                std::to_string(view_.path[i]) +
-                                " outside the path model");
-      }
-    }
-    // Oracle / purely-active estimators discard observations; skip the
-    // per-transfer event traffic for them entirely (the queue stays
-    // empty, so tick() degenerates to one size check per request). For
-    // kernel estimators this is a compile-time constant.
-    estimator_observes_ = decisions_.observes();
-    // Fault injection (net/fault.h): compile the plan once per run. With
-    // an empty plan `faults_` stays null and every hook in consume()
-    // short-circuits on a constant pointer/scale test, so the loop
-    // executes the exact pre-fault expression stream — bit-identical
-    // results, golden-CSV enforced. The schedule seed is a tag-keyed
-    // fork of the run's root stream (fork() is const, so this perturbs
-    // nothing), making fault timing identical across engines and thread
-    // counts but independent across replications.
-    if (!config.fault.empty()) {
-      state.faults.compile(config.fault, model.size(),
-                           rng.fork("faults").seed());
-      faults_ = &state.faults;
-    } else {
-      state.faults.clear();
-    }
-    decisions_.set_faults(faults_);
-    warm_count_ = static_cast<std::size_t>(
-        static_cast<double>(total_requests_) * config.warmup_fraction);
-    // Session dynamics draw from their own tag-keyed stream (in
-    // BlockDraws) so enabling them never perturbs the viewing/path/
-    // estimator streams (and "full" mode draws nothing at all, keeping
-    // it a field-identical oracle).
-    interactive_ = config.interactivity.enabled();
-    if (interactive_ && config.viewing.enabled) {
-      throw std::invalid_argument(
-          "run_request_loop: ViewingConfig and a non-full interactivity "
-          "model are both session-length models and cannot be combined; "
-          "use --interactivity alone (it supersedes --viewing)");
-    }
-    // Per-object §2.2 products, premultiplied once per run in the
-    // contiguous vectorizable fills of sim/delivery.h — they depend only
-    // on the catalog (and constant-mode path means), so per-request
-    // recomputation would be pure overhead.
-    build_delivery_table(view_, constant_bw_ ? model.means().data() : nullptr,
-                         state.delivery);
+    bind(&*own_unit_, 1, rng);
+  }
+
+  /// Several coupled units, `units[0, n_units)` (each over its own
+  /// ProxyState), served under `couplings`; `state` supplies the path
+  /// model and the delivery table, and its own proxy stays idle.
+  RequestLoop(const workload::RequestStream& stream,
+              const SimulationConfig& config, RunState& state, Unit* units,
+              std::size_t n_units, Couplings couplings, const util::Rng& rng)
+      : config_(&config),
+        state_(&state),
+        couplings_(std::move(couplings)),
+        view_(stream.catalog().view()),
+        total_requests_(stream.num_requests()),
+        viewing_rng_(rng.fork("viewing")) {
+    bind(units, n_units, rng);
   }
 
   RequestLoop(const RequestLoop&) = delete;
   RequestLoop& operator=(const RequestLoop&) = delete;
+
+  [[nodiscard]] Couplings& couplings() noexcept { return couplings_; }
 
   /// Run the per-request body over every request of `block` (the next
   /// block of the stream, in order) with `draws` filled for it. The
@@ -225,21 +275,31 @@ class RequestLoop {
           "RequestLoop::consume: draws not filled for this run's path or "
           "session model");
     }
-    std::vector<InFlightStream>& in_flight = state_->in_flight;
-    const net::FaultSchedule* const faults = faults_;
     const bool constant_bw = constant_bw_;
     const bool interactive = interactive_;
     const bool estimator_observes = estimator_observes_;
     const std::size_t warm_count = warm_count_;
     MetricsCollector& metrics = metrics_;
-    DecisionKernel<Policy, Estimator>& decisions = decisions_;
+    Couplings& couplings = couplings_;
+    Unit* const units = units_;
+    // The serving unit; without routing, the only unit, bound once per
+    // block.
+    std::uint32_t p = 0;
+    Unit* unit = units;
+    const net::FaultSchedule* faults = unit->faults;
     for (std::size_t i = 0; i < block.size; ++i) {
       const std::size_t idx = block.first + i;
       const double now_s = block.time_s[i];
+      const workload::ObjectId id = block.object[i];
+      if constexpr (Couplings::kRoutes) {
+        p = couplings.route(idx, id);
+        unit = units + p;
+        faults = unit->faults;
+      }
+      DecisionKernel<Policy, Estimator>& decisions = unit->decisions;
       // Deliver pending transfer-completion observations first.
       decisions.tick(now_s);
 
-      const workload::ObjectId id = block.object[i];
       const double duration_s = view.duration_s[id];
       const double bitrate = view.bitrate[id];
       const double size_bytes = view.size_bytes[id];
@@ -320,10 +380,12 @@ class RequestLoop {
                                         : 0.0;
       }
 
+      const double peer_bytes = couplings.cooperate(p, id, bw, outcome);
+
       // Patching: share the tail of an in-flight transmission of the
       // same object; only the missed prefix still needs the origin.
       if (config.patching.enabled && outcome.bytes_from_origin > 0) {
-        InFlightStream& flight = in_flight[id];
+        InFlightStream& flight = unit->state->in_flight[id];
         if (now_s < flight.end) {
           // flight.end is start + the originating session's transmission
           // time: the full playout duration, or its departure point when
@@ -333,7 +395,9 @@ class RequestLoop {
               std::min(size_bytes, bitrate * (flight.end - now_s));
           const double shared = std::min(outcome.bytes_from_origin,
                                          std::max(0.0, remaining_shareable));
-          outcome.bytes_shared = shared;
+          // deliver*() leave bytes_shared at 0, so without peer bytes
+          // this is the plain assignment.
+          outcome.bytes_shared += shared;
           outcome.bytes_from_origin -= shared;
           outcome.origin_transfer_s = outcome.bytes_from_origin > 0
                                           ? outcome.bytes_from_origin / bw
@@ -348,13 +412,18 @@ class RequestLoop {
         }
       }
 
+      couplings.share_uplink(now_s, outcome);
+
       const bool measured = idx >= warm_count;
       if (measured) {
         metrics.record(outcome, view.value[id]);
+        couplings.record(p, cached_before, outcome, peer_bytes);
         if (faults != nullptr && fault_scale <= 0.0) {
           // Cache-only service: the part of the (viewed) request the
           // cached prefix could not cover was denied, not delayed.
-          metrics.record_denied(request_bytes - outcome.bytes_from_cache);
+          const double denied = request_bytes - outcome.bytes_from_cache;
+          metrics.record_denied(denied);
+          couplings.record_denied(p, denied);
         }
         // Session stats only when a session model is active: the
         // accessors default to "every session full" on zero samples, so
@@ -382,40 +451,116 @@ class RequestLoop {
 
         // Growth of this object's prefix is origin->cache fill traffic.
         if (measured && cached_after > cached_before) {
-          metrics.record_fill(cached_after - cached_before);
+          const double fill = cached_after - cached_before;
+          metrics.record_fill(fill);
+          couplings.record_fill(p, fill);
         }
       }
     }
   }
 
   /// Flush the pending completion observations and return the
-  /// measured-window metrics. Call once, after the stream's last block.
+  /// measured-window metrics, with the final occupancy, cached objects
+  /// and estimator overhead summed over the units. Call once, after the
+  /// stream's last block.
   [[nodiscard]] SimulationResult finish() {
-    decisions_.drain();
+    for (std::size_t p = 0; p < n_units_; ++p) units_[p].decisions.drain();
     SimulationResult result;
-    result.policy_name = policy_->name();
+    result.policy_name = units_[0].decisions.policy().name();
     result.metrics = metrics_;
     result.warmup_requests = warm_count_;
     result.measured_requests = total_requests_ - warm_count_;
-    result.final_occupancy_bytes = state_->store.used();
-    result.final_cached_objects = state_->store.object_count();
-    result.estimator_overhead_packets = estimator_->overhead_packets();
+    for (std::size_t p = 0; p < n_units_; ++p) {
+      DecisionKernel<Policy, Estimator>& decisions = units_[p].decisions;
+      result.final_occupancy_bytes += decisions.store().used();
+      result.final_cached_objects += decisions.store().object_count();
+      result.estimator_overhead_packets +=
+          decisions.estimator().overhead_packets();
+    }
     return result;
   }
 
  private:
+  /// The per-run setup shared by both constructors.
+  void bind(Unit* units, std::size_t n_units, const util::Rng& rng) {
+    const SimulationConfig& config = *config_;
+    units_ = units;
+    n_units_ = n_units;
+    const net::PathModel& model = *state_->model;
+    // Constant-bandwidth scenarios (the paper's main setting) sample the
+    // mean directly: no switch, no sampler state, one contiguous load.
+    constant_bw_ = model.mode() == net::VariationMode::kConstant;
+    // One up-front scan keeps the unchecked fast-path read in consume()
+    // safe for hand-built catalogs whose per-object path ids exceed the
+    // model (generated catalogs always use path == id < size).
+    for (std::size_t i = 0; i < view_.size; ++i) {
+      if (view_.path[i] >= model.size()) {
+        throw std::out_of_range("run_request_loop: object path id " +
+                                std::to_string(view_.path[i]) +
+                                " outside the path model");
+      }
+    }
+    // Oracle / purely-active estimators discard observations; skip the
+    // per-transfer event traffic for them entirely (the queue stays
+    // empty, so tick() degenerates to one size check per request). For
+    // kernel estimators this is a compile-time constant.
+    estimator_observes_ = units[0].decisions.observes();
+    // Fault injection (net/fault.h): compile the plan once per run, for
+    // each unit's scope. With an empty plan every unit's `faults` stays
+    // null and every hook in consume() short-circuits on a constant
+    // pointer/scale test, so the loop executes the exact pre-fault
+    // expression stream — bit-identical results, golden-CSV enforced.
+    // The schedule seed is a tag-keyed fork of the run's root stream
+    // (fork() is const, so this perturbs nothing), making fault timing
+    // identical across engines, units and thread counts but independent
+    // across replications.
+    const bool faulty = !config.fault.empty();
+    const std::uint64_t fault_seed = faulty ? rng.fork("faults").seed() : 0;
+    for (std::size_t p = 0; p < n_units; ++p) {
+      Unit& unit = units[p];
+      net::FaultSchedule& faults = unit.state->faults;
+      if (faulty) {
+        faults.compile(config.fault, model.size(), fault_seed,
+                       couplings_.fault_scope(p));
+        unit.faults = &faults;
+      } else {
+        faults.clear();
+        unit.faults = nullptr;
+      }
+      unit.decisions.set_faults(unit.faults);
+    }
+    warm_count_ = static_cast<std::size_t>(
+        static_cast<double>(total_requests_) * config.warmup_fraction);
+    // Session dynamics draw from their own tag-keyed stream (in
+    // BlockDraws) so enabling them never perturbs the viewing/path/
+    // estimator streams (and "full" mode draws nothing at all, keeping
+    // it a field-identical oracle).
+    interactive_ = config.interactivity.enabled();
+    if (interactive_ && config.viewing.enabled) {
+      throw std::invalid_argument(
+          "run_request_loop: ViewingConfig and a non-full interactivity "
+          "model are both session-length models and cannot be combined; "
+          "use --interactivity alone (it supersedes --viewing)");
+    }
+    // Per-object §2.2 products, premultiplied once per run in the
+    // contiguous vectorizable fills of sim/delivery.h — they depend only
+    // on the catalog (and constant-mode path means), so per-request
+    // recomputation would be pure overhead.
+    build_delivery_table(view_, constant_bw_ ? model.means().data() : nullptr,
+                         state_->delivery);
+  }
+
   const SimulationConfig* config_;
   RunState* state_;
-  Policy* policy_;
-  Estimator* estimator_;
+  // A single cell's unit; coupled loops serve units they do not own.
+  std::optional<Unit> own_unit_;
+  Unit* units_ = nullptr;
+  std::size_t n_units_ = 0;
+  Couplings couplings_;
   workload::CatalogView view_;
   std::size_t total_requests_;
-  // The clock-agnostic decision half (sim/decision.h); this loop owns
-  // the simulated clock and feeds it request arrival times.
-  DecisionKernel<Policy, Estimator> decisions_;
   util::Rng viewing_rng_;
   MetricsCollector metrics_;
-  const net::FaultSchedule* faults_ = nullptr;
   std::size_t warm_count_ = 0;
   bool constant_bw_ = false;
   bool interactive_ = false;
@@ -423,11 +568,11 @@ class RequestLoop {
 };
 
 /// Execute the full trace and return measured-window metrics: one
-/// RequestLoop fed from `state.cursor` and `state.draws`. The stream is
-/// consumed in chunks — the cursor materializes one SoA request block
-/// at a time (replayed, regenerated, or re-read from disk; sources are
-/// interchangeable and byte-identical) — so results are bit-identical
-/// at every chunk size.
+/// single-cell RequestLoop fed from `state.cursor` and `state.draws`.
+/// The stream is consumed in chunks — the cursor materializes one SoA
+/// request block at a time (replayed, regenerated, or re-read from disk;
+/// sources are interchangeable and byte-identical) — so results are
+/// bit-identical at every chunk size.
 template <typename Policy, typename Estimator>
 [[nodiscard]] SimulationResult run_request_loop(
     const workload::RequestStream& stream, const SimulationConfig& config,

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/registry.h"
@@ -92,9 +93,22 @@ Simulator::Simulator(workload::RequestStream stream,
                            config_.estimator);
 }
 
+VirtualProxy make_virtual_proxy(const SimulationConfig& config,
+                                const workload::Catalog& catalog,
+                                const net::PathModel& model,
+                                const util::Rng& rng, std::size_t proxy) {
+  std::string tag = "estimator";
+  if (proxy > 0) tag += "#" + std::to_string(proxy);
+  VirtualProxy out;
+  out.estimator =
+      core::registry::make_estimator(config.estimator, model, rng.fork(tag));
+  out.policy =
+      core::registry::make_policy(config.policy, catalog, *out.estimator);
+  return out;
+}
+
 struct Simulator::Fallback {
-  std::unique_ptr<net::BandwidthEstimator> estimator;
-  std::unique_ptr<cache::CachePolicy> policy;
+  VirtualProxy proxy;
   RunState state;
   std::optional<RequestLoop<cache::CachePolicy, net::BandwidthEstimator>> loop;
 };
@@ -135,12 +149,8 @@ std::unique_ptr<Simulator::Fallback> Simulator::make_fallback(
         rng.fork("paths"));
   }
 
-  // Build the configured estimator and policy through the registry.
   auto fallback = std::make_unique<Fallback>();
-  fallback->estimator = core::registry::make_estimator(
-      config_.estimator, *model, rng.fork("estimator"));
-  fallback->policy = core::registry::make_policy(config_.policy, catalog,
-                                                 *fallback->estimator);
+  fallback->proxy = make_virtual_proxy(config_, catalog, *model, rng, 0);
   fallback->state.reset(catalog, std::move(model),
                         config_.cache_capacity_bytes,
                         config_.patching.enabled);
@@ -153,15 +163,16 @@ SimulationResult Simulator::run_fallback() {
   // The loop body is shared with the monomorphized engines
   // (sim/run_loop.h); this instantiation dispatches through the virtual
   // CachePolicy / BandwidthEstimator interfaces.
-  return run_request_loop(stream_, config_, f->state, *f->policy,
-                          *f->estimator, rng);
+  return run_request_loop(stream_, config_, f->state, *f->proxy.policy,
+                          *f->proxy.estimator, rng);
 }
 
 void Simulator::begin() {
   util::Rng rng(config_.seed);
   fallback_ = make_fallback(rng);
   fallback_->loop.emplace(stream_, config_, fallback_->state,
-                          *fallback_->policy, *fallback_->estimator, rng);
+                          *fallback_->proxy.policy,
+                          *fallback_->proxy.estimator, rng);
 }
 
 void Simulator::consume(const workload::RequestBlock& block,

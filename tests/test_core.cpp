@@ -1,56 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "core/accelerator.h"
 #include "core/experiment.h"
 #include "net/bandwidth_model.h"
 #include "net/variability.h"
 
 namespace sc::core {
 namespace {
-
-TEST(Accelerator, ServesAndAdmits) {
-  workload::WorkloadConfig wcfg;
-  wcfg.catalog.num_objects = 20;
-  util::Rng rng(1);
-  const auto catalog = workload::Catalog::generate(wcfg.catalog, rng);
-  net::PassiveEwmaEstimator estimator(catalog.size(), 0.3, 30e3);
-
-  AcceleratorConfig cfg;
-  cfg.capacity_bytes = 1e10;
-  cfg.policy = "pb";
-  Accelerator acc(catalog, estimator, cfg);
-  EXPECT_EQ(acc.policy_name(), "PB");
-  EXPECT_DOUBLE_EQ(acc.occupancy_bytes(), 0.0);
-
-  // Low-bandwidth serve: the first request sees an empty cache...
-  const auto plan1 = acc.serve(0, 0.0, 10e3);
-  EXPECT_DOUBLE_EQ(plan1.cached_prefix_bytes, 0.0);
-  EXPECT_GT(plan1.outcome.delay_s, 0.0);
-  // ...teach the estimator, then the policy admits a prefix.
-  acc.observe_transfer(catalog.object(0).path, 10e3, 0.0);
-  const auto plan2 = acc.serve(0, 1.0, 10e3);
-  (void)plan2;
-  const auto plan3 = acc.serve(0, 2.0, 10e3);
-  EXPECT_GT(plan3.cached_prefix_bytes, 0.0);
-  EXPECT_LT(plan3.outcome.delay_s, plan1.outcome.delay_s);
-  EXPECT_GT(acc.occupancy_bytes(), 0.0);
-  EXPECT_LE(acc.occupancy_bytes(), acc.capacity_bytes());
-}
-
-TEST(Accelerator, PlanReportsByteSplit) {
-  workload::CatalogConfig ccfg;
-  ccfg.num_objects = 5;
-  util::Rng rng(2);
-  const auto catalog = workload::Catalog::generate(ccfg, rng);
-  net::PassiveEwmaEstimator estimator(catalog.size(), 0.3, 30e3);
-  AcceleratorConfig cfg;
-  cfg.capacity_bytes = 1e12;
-  Accelerator acc(catalog, estimator, cfg);
-
-  const auto plan = acc.serve(1, 0.0, 100e3);
-  EXPECT_NEAR(plan.outcome.bytes_from_cache + plan.outcome.bytes_from_origin,
-              catalog.object(1).size_bytes, 1e-6);
-}
 
 TEST(Scenarios, NamedScenariosHaveExpectedModes) {
   EXPECT_EQ(constant_scenario().mode, net::VariationMode::kConstant);

@@ -168,6 +168,24 @@ TEST(Fleet, SingleProxyFleetFieldIdenticalToSimulator) {
   EXPECT_EQ(results[1].load_imbalance, 1.0);
   EXPECT_EQ(results[1].peer_hit_ratio, 0.0);
   EXPECT_GT(results[2].denied_requests, 0.0);
+
+  // The patching and viewing steps, which no multi-proxy fleet test
+  // reaches. A passive estimator under variable bandwidth carries their
+  // effect on origin transfers into the cache decisions, so the compared
+  // fields move with them (checked against the plain twin below).
+  ExperimentConfig plain = small_config();
+  plain.sim.estimator = "ewma";
+  const std::vector<SweepCell> twins(cells.begin(), cells.begin() + 2);
+  const auto measured = core::measured_variability_scenario();
+  const auto base = SweepRunner(plain, measured).run(twins);
+  for (const bool patching : {true, false}) {
+    ExperimentConfig cfg = plain;
+    cfg.sim.patching.enabled = patching;
+    cfg.sim.viewing.enabled = !patching;
+    const auto r = SweepRunner(cfg, measured).run(twins);
+    expect_identical(r[0], r[1]);
+    EXPECT_NE(r[0].hit_ratio, base[0].hit_ratio) << "patching=" << patching;
+  }
 }
 
 TEST(Fleet, SingleProxyFleetLaneFieldIdenticalToItsTwinInOneGroup) {
