@@ -46,8 +46,9 @@ void BM_HeapUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapUpdate)->Arg(1000)->Arg(100000);
 
-void BM_PolicyOnAccess(benchmark::State& state) {
-  // Steady-state PB access cost on the paper-scale catalog.
+void BM_PolicyOnAccess(benchmark::State& state, const char* spec) {
+  // Steady-state access cost of one registry policy on the paper-scale
+  // catalog, through the simulator's CachePolicy boundary.
   util::Rng rng(3);
   workload::WorkloadConfig wcfg;
   wcfg.catalog.num_objects = 5000;
@@ -60,16 +61,17 @@ void BM_PolicyOnAccess(benchmark::State& state) {
   net::OracleEstimator estimator(paths);
   cache::PartialStore store(
       core::capacity_for_fraction(wcfg.catalog, 0.08));
-  cache::PbPolicy policy(w.catalog, estimator);
+  const auto policy = core::registry::make_policy(spec, w.catalog, estimator);
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& req = w.requests[i % w.requests.size()];
-    policy.on_access(req.object, req.time_s, store);
+    policy->on_access(req.object, req.time_s, store);
     ++i;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_PolicyOnAccess);
+BENCHMARK_CAPTURE(BM_PolicyOnAccess, pb, "pb");
+BENCHMARK_CAPTURE(BM_PolicyOnAccess, lru, "lru");
 
 void BM_RegistryMakePolicy(benchmark::State& state) {
   // Spec parse + registry lookup + construction; must stay negligible

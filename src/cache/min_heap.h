@@ -4,7 +4,9 @@
 // utility, with O(log n) updates when an access changes an object's
 // utility. std::priority_queue cannot re-key, so this heap maintains a
 // handle (slot id -> heap position) index supporting push / update /
-// remove / pop-min, each O(log n).
+// remove / pop-min, each O(log n). It is the default index of the
+// utility engine (cache/policy.h); the LRU kernel, whose keys only ever
+// grow, uses the O(1) RecencyList (cache/recency_list.h) instead.
 #pragma once
 
 #include <algorithm>

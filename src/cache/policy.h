@@ -5,7 +5,10 @@
 // scalar *utility* (the selection key) and a *desired cached size*
 // (whole object for the Integral family, (r_i - b_i) * T_i for the
 // Partial family), and keep the highest-utility objects cached using a
-// priority queue with O(log n) updates.
+// priority index over utility keys. Each kernel chooses its index: the
+// default IndexedMinHeap (cache/min_heap.h) re-keys in O(log n), as §2.4
+// prescribes; LRU, whose keys only ever grow, uses the O(1) RecencyList
+// (cache/recency_list.h).
 //
 // The engine is devirtualized: UtilityPolicy<Kernel> implements the
 // admission/eviction loop once as a template over a small *kernel* type
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "cache/min_heap.h"
+#include "cache/recency_list.h"
 #include "cache/store.h"
 #include "net/estimator.h"
 #include "workload/object_catalog.h"
@@ -104,9 +108,9 @@ class CachePolicy {
   }
 };
 
-/// Non-template part of the utility engine: learned frequencies, the
-/// priority queue, and the SoA catalog view. Hosts the state so the
-/// template below stays header-only and small.
+/// Non-template part of the utility engine: learned frequencies and the
+/// SoA catalog view. The priority index lives in the template below,
+/// whose kernel chooses its type.
 class UtilityPolicyBase : public CachePolicy {
  public:
   UtilityPolicyBase(const workload::Catalog& catalog,
@@ -114,13 +118,9 @@ class UtilityPolicyBase : public CachePolicy {
       : catalog_(&catalog),
         view_(catalog.view()),
         estimator_(&estimator),
-        freq_(catalog.size(), 0.0),
-        heap_(catalog.size()) {}
+        freq_(catalog.size(), 0.0) {}
 
-  void reset() override {
-    std::fill(freq_.begin(), freq_.end(), 0.0);
-    heap_.clear();
-  }
+  void reset() override { std::fill(freq_.begin(), freq_.end(), 0.0); }
 
   /// Request count observed for `id` (F_i).
   [[nodiscard]] double frequency(ObjectId id) const { return freq_.at(id); }
@@ -129,63 +129,19 @@ class UtilityPolicyBase : public CachePolicy {
     return id < freq_.size() ? freq_[id] : 0.0;
   }
 
-  [[nodiscard]] bool index_key(ObjectId id, double* key) const override {
-    if (id >= freq_.size() || !heap_.contains(id)) return false;
-    if (key != nullptr) *key = heap_.key(id);
-    return true;
-  }
-
-  [[nodiscard]] bool check_consistency(
-      const PartialStore& store,
-      std::vector<std::string>* why) const override {
-    bool ok = true;
-    const auto fail = [&](std::string reason) {
-      ok = false;
-      if (why != nullptr) why->push_back(std::move(reason));
-    };
-    if (!heap_.check_invariants()) {
-      fail("policy heap violates heap/index invariants");
-    }
-    // The engine pairs every store mutation with a heap mutation, so the
-    // heap's id set and the store's cached id set must be identical.
-    // Subset + equal cardinality proves set equality without touching
-    // the store's private array twice.
-    if (heap_.size() != store.object_count()) {
-      fail("policy heap size " + std::to_string(heap_.size()) +
-           " != cached object count " +
-           std::to_string(store.object_count()));
-    }
-    for (const auto& [id, key] : heap_.entries()) {
-      if (!store.contains(id)) {
-        fail("heap entry " + std::to_string(id) + " not cached in store");
-      }
-      if (!std::isfinite(key)) {
-        fail("heap key for " + std::to_string(id) + " is not finite");
-      }
-    }
-    for (ObjectId id = 0; id < freq_.size(); ++id) {
-      if (!(freq_[id] >= 0.0) || !std::isfinite(freq_[id])) {
-        fail("frequency for " + std::to_string(id) + " is negative or NaN");
-        break;  // one report is enough; the array is large
-      }
-    }
-    return ok;
-  }
-
  protected:
   /// Re-target the engine at a new catalog + estimator and forget the
-  /// shared learned state, reusing the frequency and heap storage.
-  /// Protected on purpose: rebinding must go through the derived
-  /// UtilityPolicy<Kernel>::rebind, which additionally resets kernel
-  /// state (e.g. LRU recency) — calling this half alone through a base
-  /// reference would silently carry kernel state across simulations.
+  /// learned frequencies, reusing their storage. Protected on purpose:
+  /// rebinding must go through the derived UtilityPolicy<Kernel>::rebind,
+  /// which additionally resets the index and the kernel state (e.g. LRU
+  /// recency) — calling this half alone through a base reference would
+  /// silently carry that state across simulations.
   void rebind_base(const workload::Catalog& catalog,
                    net::BandwidthEstimator& estimator) {
     catalog_ = &catalog;
     view_ = catalog.view();
     estimator_ = &estimator;
     freq_.assign(catalog.size(), 0.0);
-    heap_.reset(catalog.size());
   }
 
   [[nodiscard]] const workload::Catalog& catalog() const noexcept {
@@ -196,12 +152,13 @@ class UtilityPolicyBase : public CachePolicy {
   CatalogView view_;
   net::BandwidthEstimator* estimator_;
   std::vector<double> freq_;
-  IndexedMinHeap heap_;
 };
 
 /// Default no-op hooks; kernels inherit and shadow what they need.
 /// Utilities and desired sizes <= 0 mean "do not cache".
 struct KernelBase {
+  /// The engine's priority index over cached objects (utility keys).
+  using Index = IndexedMinHeap;
   /// Pre-size any per-object kernel state (LRU's recency array).
   void bind(const CatalogView&) {}
   /// Recency bookkeeping before utilities are computed.
@@ -334,6 +291,8 @@ struct IbvKernel : KernelBase {
 
 /// LRU over whole objects (network-oblivious baseline, §3.3).
 struct LruKernel : KernelBase {
+  /// Keys are a strictly increasing clock: O(1) in key order.
+  using Index = RecencyList;
   static constexpr bool kIntegral = true;
   [[nodiscard]] std::string name() const { return "LRU"; }
   void bind(const CatalogView& v) { last_access_.assign(v.size, 0.0); }
@@ -375,18 +334,22 @@ struct LfuKernel : IfKernel {
   [[nodiscard]] std::string name() const { return "LFU"; }
 };
 
-/// Shared heap-based engine over a policy kernel. Admission evicts
-/// strictly-lower-utility victims only (so the cache never trades better
-/// content for worse), and respects whole-object semantics for integral
-/// kernels. The kernel calls compile to direct (inlined) code.
+/// Shared engine over a policy kernel and the priority index it chooses
+/// (Kernel::Index). Admission evicts strictly-lower-utility victims only
+/// (so the cache never trades better content for worse), and respects
+/// whole-object semantics for integral kernels. The kernel and index
+/// calls compile to direct (inlined) code.
 template <typename Kernel>
 class UtilityPolicy final : public UtilityPolicyBase {
  public:
+  using Index = typename Kernel::Index;
+
   template <typename... KernelArgs>
   explicit UtilityPolicy(const workload::Catalog& catalog,
                          net::BandwidthEstimator& estimator,
                          KernelArgs&&... kernel_args)
       : UtilityPolicyBase(catalog, estimator),
+        index_(catalog.size()),
         kernel_(std::forward<KernelArgs>(kernel_args)...) {
     kernel_.bind(view_);
   }
@@ -395,20 +358,21 @@ class UtilityPolicy final : public UtilityPolicyBase {
 
   void reset() override {
     UtilityPolicyBase::reset();
+    index_.clear();
     kernel_.reset();
   }
 
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
 
   /// Re-target at a new catalog + estimator and forget all learned
-  /// state — the shared engine half (frequencies, heap) and the
-  /// kernel's own per-object state (e.g. LRU recency) — reusing every
-  /// piece of storage (arena reuse across the simulations one worker
-  /// executes). After rebind the policy is indistinguishable from a
-  /// freshly constructed one.
+  /// state — the frequencies, the index and the kernel's own per-object
+  /// state (e.g. LRU recency) — reusing every piece of storage (arena
+  /// reuse across the simulations one worker executes). After rebind the
+  /// policy is indistinguishable from a freshly constructed one.
   void rebind(const workload::Catalog& catalog,
               net::BandwidthEstimator& estimator) {
     rebind_base(catalog, estimator);
+    index_.reset(catalog.size());
     kernel_.bind(view_);
     kernel_.reset();
   }
@@ -417,20 +381,63 @@ class UtilityPolicy final : public UtilityPolicyBase {
     access(id, now_s, store, *estimator_);
   }
 
+  [[nodiscard]] bool index_key(ObjectId id, double* key) const override {
+    if (id >= freq_.size() || !index_.contains(id)) return false;
+    if (key != nullptr) *key = index_.key(id);
+    return true;
+  }
+
+  [[nodiscard]] bool check_consistency(
+      const PartialStore& store,
+      std::vector<std::string>* why) const override {
+    bool ok = true;
+    const auto fail = [&](std::string reason) {
+      ok = false;
+      if (why != nullptr) why->push_back(std::move(reason));
+    };
+    if (!index_.check_invariants()) {
+      fail("policy index violates its order/link invariants");
+    }
+    // The engine pairs every store mutation with an index mutation, so
+    // the index's id set and the store's cached id set must be identical.
+    // Subset + equal cardinality proves set equality without touching
+    // the store's private array twice.
+    if (index_.size() != store.object_count()) {
+      fail("policy index size " + std::to_string(index_.size()) +
+           " != cached object count " +
+           std::to_string(store.object_count()));
+    }
+    for (const auto& [id, key] : index_.entries()) {
+      if (!store.contains(id)) {
+        fail("index entry " + std::to_string(id) + " not cached in store");
+      }
+      if (!std::isfinite(key)) {
+        fail("index key for " + std::to_string(id) + " is not finite");
+      }
+    }
+    for (ObjectId id = 0; id < freq_.size(); ++id) {
+      if (!(freq_[id] >= 0.0) || !std::isfinite(freq_[id])) {
+        fail("frequency for " + std::to_string(id) + " is negative or NaN");
+        break;  // one report is enough; the array is large
+      }
+    }
+    return ok;
+  }
+
   [[nodiscard]] PolicySnapshot save_state() const override {
     PolicySnapshot out;
     out.freq = freq_;
-    out.heap = heap_.entries();
+    out.heap = index_.entries();
     kernel_.save(out.kernel);
     return out;
   }
 
   /// Validate-then-apply: the policy is mutated only after every shape
-  /// check passes, so a rejected snapshot leaves it untouched. The heap
-  /// is rebuilt by pushing entries in id order — heap-internal layout
-  /// (sibling order among equal keys) may differ from the saved
-  /// instance, but the (id, key) set is identical, which is all the
-  /// engine's semantics depend on.
+  /// check passes, so a rejected snapshot leaves it untouched. The index
+  /// is rebuilt by pushing entries in id order — its internal layout
+  /// (the order among equal keys) may differ from the saved instance,
+  /// but the (id, key) set is identical, which is all the engine's
+  /// semantics depend on.
   bool load_state(const PolicySnapshot& state) override {
     const std::size_t n = freq_.size();
     if (state.freq.size() != n) return false;
@@ -447,8 +454,8 @@ class UtilityPolicy final : public UtilityPolicyBase {
     Kernel staged = kernel_;
     if (!staged.load(state.kernel)) return false;
     freq_ = state.freq;
-    heap_.reset(n);
-    for (const auto& [id, key] : state.heap) heap_.push(id, key);
+    index_.reset(n);
+    for (const auto& [id, key] : state.heap) index_.push(id, key);
     kernel_ = std::move(staged);
     return true;
   }
@@ -481,7 +488,7 @@ class UtilityPolicy final : public UtilityPolicyBase {
     if (u <= 0.0 || desired <= kEps) {
       if (have > 0.0) {
         store.erase(id);
-        heap_.remove(id);
+        index_.remove(id);
       }
       return;
     }
@@ -494,30 +501,30 @@ class UtilityPolicy final : public UtilityPolicyBase {
         // target below the full size means "keep the whole object"
         // semantics no longer apply -- keep it (conservative) and just
         // refresh the key.
-        heap_.update(id, u);
+        index_.update(id, u);
         return;
       }
       store.set_cached(id, desired);
-      heap_.update(id, u);
+      index_.update(id, u);
       return;
     }
 
-    if (have > 0.0) heap_.update(id, u);
+    if (have > 0.0) index_.update(id, u);
 
     const double need = desired - have;
     if (need <= kEps) return;
 
     // Evict strictly-lower-utility victims until the growth fits.
-    while (store.free_space() + kEps < need && !heap_.empty()) {
-      const ObjectId victim = heap_.min_id();
+    while (store.free_space() + kEps < need && !index_.empty()) {
+      const ObjectId victim = index_.min_id();
       if (victim == id) break;  // everything else cached is more valuable
-      if (heap_.min_key() >= u) break;
+      if (index_.min_key() >= u) break;
       const double free_before = store.free_space();
       const double victim_bytes = store.cached(victim);
       const double still_needed = need - free_before;
       if (Kernel::kIntegral || still_needed >= victim_bytes - kEps) {
         store.erase(victim);
-        heap_.remove(victim);
+        index_.remove(victim);
       } else {
         // Partial policies may trim a victim's prefix tail: the remaining
         // shorter prefix keeps the same utility (the key does not depend
@@ -534,10 +541,11 @@ class UtilityPolicy final : public UtilityPolicyBase {
       return;
     }
     store.set_cached(id, have + grant);
-    heap_.upsert(id, u);
+    index_.upsert(id, u);
   }
 
  private:
+  Index index_;
   Kernel kernel_;
 };
 

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -107,35 +106,5 @@ struct ObservationEvent {
 };
 
 using ObservationQueue = BasicEventQueue<ObservationEvent>;
-
-/// Generic callback queue (legacy interface, kept for tests and
-/// extensions that defer arbitrary work). Each event carries a
-/// std::function; prefer BasicEventQueue with a POD payload on hot paths.
-class EventQueue {
- public:
-  using Action = std::function<void(double /*now_s*/)>;
-
-  void schedule(double time_s, Action action) {
-    queue_.schedule(time_s, std::move(action));
-  }
-
-  /// Run every event with time <= `until_s`, in (time, insertion) order.
-  void run_until(double until_s) {
-    queue_.run_until(until_s,
-                     [](double now, Action& action) { action(now); });
-  }
-
-  /// Drain the queue completely.
-  void run_all() {
-    queue_.run_all([](double now, Action& action) { action(now); });
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] double now() const noexcept { return queue_.now(); }
-
- private:
-  BasicEventQueue<Action> queue_;
-};
 
 }  // namespace sc::sim

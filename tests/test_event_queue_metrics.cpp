@@ -8,65 +8,51 @@
 namespace sc::sim {
 namespace {
 
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&](double) { order.push_back(3); });
-  q.schedule(1.0, [&](double) { order.push_back(1); });
-  q.schedule(2.0, [&](double) { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, FifoTieBreaking) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i](double) { order.push_back(i); });
-  }
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilRespectsHorizon) {
-  EventQueue q;
-  std::vector<double> fired;
+TEST(ObservationQueue, RunUntilHorizonIsInclusive) {
+  ObservationQueue q;
   for (const double t : {0.5, 1.0, 1.5, 2.0}) {
-    q.schedule(t, [&fired](double now) { fired.push_back(now); });
+    q.schedule(t, ObservationEvent{0, t});
   }
-  q.run_until(1.0);  // inclusive
+  std::vector<double> fired;
+  const auto record = [&](double now, const ObservationEvent&) {
+    fired.push_back(now);
+  };
+  q.run_until(1.0, record);
   EXPECT_EQ(fired, (std::vector<double>{0.5, 1.0}));
   EXPECT_EQ(q.size(), 2u);
-  q.run_until(10.0);
+  q.run_until(10.0, record);
   EXPECT_EQ(fired.size(), 4u);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, ActionsReceiveTheirScheduledTime) {
-  EventQueue q;
-  double seen = -1;
-  q.schedule(7.5, [&](double now) { seen = now; });
-  q.run_all();
+TEST(ObservationQueue, HandlersReceiveTheirScheduledTime) {
+  ObservationQueue q;
+  q.schedule(7.5, ObservationEvent{4, 2.0});
+  double seen = -1.0;
+  q.run_all([&](double now, const ObservationEvent&) { seen = now; });
   EXPECT_DOUBLE_EQ(seen, 7.5);
   EXPECT_DOUBLE_EQ(q.now(), 7.5);
 }
 
-TEST(EventQueue, NestedSchedulingWithinHorizon) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(1.0, [&](double) {
-    order.push_back(1);
-    q.schedule(1.5, [&](double) { order.push_back(2); });
-    q.schedule(5.0, [&](double) { order.push_back(9); });
+TEST(ObservationQueue, NestedSchedulingWithinHorizon) {
+  // A handler may schedule further events: those inside the horizon are
+  // delivered by the same run_until, later ones wait.
+  ObservationQueue q;
+  q.schedule(1.0, ObservationEvent{1, 0.0});
+  std::vector<std::size_t> order;
+  q.run_until(2.0, [&](double, const ObservationEvent& ev) {
+    order.push_back(ev.path);
+    if (ev.path == 1) {
+      q.schedule(1.5, ObservationEvent{2, 0.0});
+      q.schedule(5.0, ObservationEvent{9, 0.0});
+    }
   });
-  q.run_until(2.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));  // the 5.0 event waits
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 2}));  // the 5.0 event waits
   EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(ObservationQueue, PodEventsDrainInTimeThenFifoOrder) {
-  // Regression for the POD specialization: same-timestamp events must
-  // keep insertion (FIFO) order, exactly like the callback queue.
+  // Same-timestamp events must keep insertion (FIFO) order.
   ObservationQueue q;
   q.reserve(8);
   q.schedule(2.0, ObservationEvent{20, 1.0});

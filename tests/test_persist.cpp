@@ -420,6 +420,55 @@ TEST(PolicyState, LruSnapshotRoundTripsIncludingKernelRecency) {
   EXPECT_TRUE(other.check_consistency(store, nullptr));
 }
 
+TEST(PolicyState, LruRestoredMidTraceEvictsInTheSameOrder) {
+  // The restored recency index is rebuilt from id-ordered entries; it must
+  // still pick the same victims as the instance it was saved from.
+  constexpr std::size_t kObjects = 32;
+  const auto catalog = tiny_catalog(kObjects);
+  FakeEstimator est(std::vector<double>(kObjects, 4.0));
+  cache::LruPolicy saved_policy(catalog, est);
+  cache::PartialStore saved_store(8000.0);  // room for 8 objects
+  util::Rng rng(17);
+  const auto next_id = [&] {
+    // Skewed draws so the trace mixes hits with evictions.
+    const double u = rng.uniform();
+    return static_cast<workload::ObjectId>(u * u * kObjects);
+  };
+  double now = 0.0;
+  for (int i = 0; i < 500; ++i) {
+    saved_policy.on_access(next_id(), now += 1.0, saved_store);
+  }
+
+  cache::LruPolicy restored(catalog, est);
+  ASSERT_TRUE(restored.load_state(saved_policy.save_state()));
+  cache::PartialStore restored_store(8000.0);
+  for (const auto& [id, bytes] : saved_store.contents()) {
+    restored_store.set_cached(id, bytes);
+  }
+  ASSERT_TRUE(restored.check_consistency(restored_store, nullptr));
+
+  cache::StoreChangeLog saved_log;
+  cache::StoreChangeLog restored_log;
+  saved_store.set_change_log(&saved_log);
+  restored_store.set_change_log(&restored_log);
+  std::size_t evictions = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const workload::ObjectId id = next_id();
+    now += 1.0;
+    saved_policy.on_access(id, now, saved_store);
+    restored.on_access(id, now, restored_store);
+    ASSERT_EQ(saved_log.size(), restored_log.size()) << "access " << i;
+  }
+  ASSERT_EQ(saved_log.size(), restored_log.size());
+  for (std::size_t k = 0; k < saved_log.size(); ++k) {
+    EXPECT_EQ(saved_log[k].id, restored_log[k].id) << "change " << k;
+    EXPECT_EQ(saved_log[k].bytes, restored_log[k].bytes) << "change " << k;
+    if (saved_log[k].bytes == 0.0) ++evictions;
+  }
+  EXPECT_GT(evictions, 100u);
+  EXPECT_EQ(restored.save_state().heap, saved_policy.save_state().heap);
+}
+
 TEST(PolicyState, MalformedSnapshotsAreRejectedNotApplied) {
   const auto catalog = tiny_catalog(4);
   FakeEstimator est({4.0, 4.0, 4.0, 4.0});
