@@ -103,8 +103,8 @@ FigureConfig parse_figure_args(int argc, char** argv,
         "                       memory instead of materializing them)\n"
         "  --csv=PATH           series output (default %s)\n"
         "  --json=PATH          machine-readable perf record of the sweep\n"
-        "  --threads=N          sweep workers (0 = all cores, 1 = serial;\n"
-        "                       results identical for every N)\n"
+        "  --threads=N          simulations run at once (0 = all cores,\n"
+        "                       1 = serial; results identical for every N)\n"
         "  --parallel=0|1       run the sweep on a thread pool\n"
         "  --policy=<spec>      override the figure's policy set\n"
         "  --estimator=<spec>   bandwidth estimator (default oracle)\n"

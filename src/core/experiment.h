@@ -83,9 +83,9 @@ struct ExperimentConfig {
   /// Run replications on a thread pool. Results are bit-identical to the
   /// serial path regardless (see core/sweep.h).
   bool parallel = true;
-  /// Worker count when parallel: 0 = the process-wide shared pool
-  /// (util::ThreadPool::default_threads()), 1 = inline serial, else a
-  /// dedicated pool of that size.
+  /// Simulations run at once when parallel: 0 = the process-wide shared
+  /// pool (util::ThreadPool::default_threads()), 1 = inline serial, else
+  /// a dedicated pool of that many threads, the calling thread included.
   std::size_t threads = 0;
   /// Build one immutable net::PathModel per replication and share it
   /// across every sweep cell (means depend only on the replication seed;

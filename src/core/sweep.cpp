@@ -567,7 +567,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
     // heap / estimator state) for the spec pairs it executes, so
     // steady-state sweep allocations are O(workers x distinct specs),
     // not O(cells x replications).
-    std::vector<Worker> workers(pool->slot_count());
+    std::vector<Worker> workers(pool->thread_count());
     pool->parallel_for(setup_tasks, setup);
     pool->parallel_for_slots(tasks.size(),
                              [&](std::size_t slot, std::size_t task) {

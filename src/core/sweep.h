@@ -108,9 +108,10 @@ class SweepRunner {
   /// Evaluate every cell; result[i] corresponds to cells[i]. Workloads
   /// are shared across cells per (alpha, replication) and path models
   /// per replication (unless base.share_path_models is off); execution
-  /// uses base.parallel/base.threads (threads == 0 -> the process-wide
-  /// shared pool, threads == 1 -> inline serial). `stats`, when given,
-  /// receives construction counts for perf records.
+  /// uses base.parallel/base.threads, the number of simulations run at
+  /// once with the calling thread as one of them (threads == 0 -> the
+  /// process-wide shared pool, threads == 1 -> inline serial). `stats`,
+  /// when given, receives construction counts for perf records.
   [[nodiscard]] std::vector<AveragedMetrics> run(
       const std::vector<SweepCell>& cells, SweepStats* stats = nullptr) const;
 

@@ -326,36 +326,32 @@ class RequestLoop {
       const double cached_before = decisions.cached(id);
       double request_bytes = size_bytes;
       ServiceOutcome outcome;
-      if (fault_scale > 0.0) {
-        outcome =
-            deliver_precomputed(size_bytes, pre.dr[id], db, bw, cached_before);
-      } else {
-        outcome = deliver_cache_only(size_bytes, cached_before);
-      }
 
       // Session dynamics: a client that departs after watching a
       // fraction of the stream only needed the viewed prefix delivered.
-      // Re-derive the outcome over that prefix — startup delay and
+      // The outcome is derived over that prefix — startup delay and
       // quality are what the client experienced for the part it
       // watched, the origin connection is cancelled at departure (its
       // completion observation below uses the truncated transfer), and
       // byte accounting covers only shipped bytes.
-      double viewed_fraction = 1.0;
+      const double viewed_fraction = interactive ? drawn_viewed[i] : 1.0;
       double session_s = duration_s;
-      if (interactive) {
-        viewed_fraction = drawn_viewed[i];
-        if (viewed_fraction < 1.0) {
-          session_s = viewed_fraction * duration_s;
-          const double viewed_bytes = session_s * bitrate;
-          request_bytes = viewed_bytes;
-          if (fault_scale > 0.0) {
-            outcome = deliver(session_s, bitrate, viewed_bytes, bw,
-                              std::min(cached_before, viewed_bytes));
-          } else {
-            outcome = deliver_cache_only(viewed_bytes,
-                                         std::min(cached_before, viewed_bytes));
-          }
+      if (viewed_fraction < 1.0) {
+        session_s = viewed_fraction * duration_s;
+        const double viewed_bytes = session_s * bitrate;
+        request_bytes = viewed_bytes;
+        if (fault_scale > 0.0) {
+          outcome = deliver(session_s, bitrate, viewed_bytes, bw,
+                            std::min(cached_before, viewed_bytes));
+        } else {
+          outcome = deliver_cache_only(viewed_bytes,
+                                       std::min(cached_before, viewed_bytes));
         }
+      } else if (fault_scale > 0.0) {
+        outcome =
+            deliver_precomputed(size_bytes, pre.dr[id], db, bw, cached_before);
+      } else {
+        outcome = deliver_cache_only(size_bytes, cached_before);
       }
 
       // Client interactivity: scale the byte accounting (not the startup

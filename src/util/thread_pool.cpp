@@ -30,7 +30,8 @@ std::unique_ptr<ThreadPool>& shared_pool_slot() {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = resolve_threads(threads);
+  // The thread calling parallel_for is the n-th runner.
+  const std::size_t n = resolve_threads(threads) - 1;
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -47,6 +48,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
@@ -126,7 +131,7 @@ void ThreadPool::parallel_for_slots(
   };
 
   const std::size_t helpers =
-      std::min(thread_count(), n - 1);  // caller drives too
+      std::min(workers_.size(), n - 1);  // caller drives too
   for (std::size_t h = 0; h < helpers; ++h) {
     submit([state, drive, h] { drive(state, h + 1); });
   }

@@ -4,6 +4,10 @@
 // figure sweep into one task list and runs it here, instead of spawning
 // an unbounded std::async thread per replication. Design points:
 //
+//   - The thread count is concurrency: ThreadPool(n) starts n - 1
+//     workers because the thread calling parallel_for is the n-th
+//     runner, so a loop runs at most n iterations at once and
+//     ThreadPool(1) has no workers at all.
 //   - parallel_for's *caller participates* in draining the loop, so it
 //     is safe to nest parallel_for inside a pool task (the inner loop
 //     completes on the calling worker even when every other worker is
@@ -28,20 +32,22 @@ namespace sc::util {
 class ThreadPool {
  public:
   /// `threads == 0` selects std::thread::hardware_concurrency() (at
-  /// least 1). The workers are spawned immediately and live until
-  /// destruction.
+  /// least 1). `threads - 1` workers are spawned immediately and live
+  /// until destruction; the caller of parallel_for is the last runner.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Iterations a parallel_for runs at once: the workers plus the caller.
   [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
+    return workers_.size() + 1;
   }
 
   /// Enqueue an independent fire-and-forget task. Tasks must not outlive
-  /// the pool; the destructor drains the queue before joining.
+  /// the pool; the destructor drains the queue before joining. A pool
+  /// without workers (ThreadPool(1)) runs the task inline.
   void submit(std::function<void()> task);
 
   /// Run `fn(i)` for every i in [0, n), distributing iterations over the
@@ -52,27 +58,21 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// As parallel_for, but `fn(slot, i)` additionally receives the worker
-  /// slot executing the iteration: 0 for the calling thread, 1..
-  /// thread_count() for pool workers. Within one call a slot is driven
-  /// by exactly one thread at a time, so slot-indexed scratch state
-  /// (e.g. core::SweepRunner's per-worker sim::SimulationArena) needs no
-  /// synchronization. Slots are at most `slot_count()`.
+  /// slot executing the iteration: 0 for the calling thread, 1 ..
+  /// thread_count() - 1 for pool workers. Within one call a slot is
+  /// driven by exactly one thread at a time, so slot-indexed scratch
+  /// state (e.g. core::SweepRunner's per-worker sim::SimulationArena)
+  /// needs no synchronization.
   void parallel_for_slots(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Upper bound (exclusive) on the slot index parallel_for_slots passes:
-  /// the workers plus the calling thread.
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return workers_.size() + 1;
-  }
-
   /// Process-wide pool, created on first use with `default_threads()`
-  /// workers. The sweep engine and run_experiment share it so nested
-  /// parallelism never oversubscribes the machine.
+  /// as its thread count. The sweep engine and run_experiment share it
+  /// so nested parallelism never oversubscribes the machine.
   [[nodiscard]] static ThreadPool& shared();
 
-  /// Worker count `shared()` is (or will be) built with. Setting it after
+  /// Thread count `shared()` is (or will be) built with. Setting it after
   /// the shared pool exists rebuilds the pool, which must be idle. Note
   /// the bench `--threads=N` flag does not go through here: an explicit
   /// N > 1 gets a dedicated pool inside the sweep engine; this knob only

@@ -66,14 +66,21 @@ TEST(SweepRunner, ParallelBitIdenticalToSerial) {
   parallel_cfg.threads = 8;
   const auto parallel = SweepRunner(parallel_cfg, scenario).run(cells);
 
+  // The smallest parallel pool: one worker plus the calling thread.
+  ExperimentConfig pair_cfg = small_config();
+  pair_cfg.threads = 2;
+  const auto pair = SweepRunner(pair_cfg, scenario).run(cells);
+
   ExperimentConfig off_cfg = small_config();
   off_cfg.parallel = false;
   const auto off = SweepRunner(off_cfg, scenario).run(cells);
 
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(parallel.size(), cells.size());
+  ASSERT_EQ(pair.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     expect_bit_identical(serial[i], parallel[i]);
+    expect_bit_identical(serial[i], pair[i]);
     expect_bit_identical(serial[i], off[i]);
   }
 }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sc::util {
@@ -81,6 +82,46 @@ TEST(ThreadPool, ParallelForNestsWithoutDeadlock) {
     pool.parallel_for(50, [&](std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 8 * 50);
+}
+
+TEST(ThreadPool, ParallelForRunsAtMostThreadCountAtOnce) {
+  // The calling thread is one of the pool's three runners, so no more
+  // than three iterations may ever overlap.
+  ThreadPool pool(3);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  pool.parallel_for(64, [&](std::size_t) {
+    const int now = in_flight.fetch_add(1) + 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    in_flight.fetch_sub(1);
+  });
+  EXPECT_GE(max_in_flight.load(), 1);
+  EXPECT_LE(max_in_flight.load(), 3);
+}
+
+TEST(ThreadPool, SingleThreadPoolRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+
+  int submitted = 0;
+  pool.submit([&submitted] { ++submitted; });
+  EXPECT_EQ(submitted, 1);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr std::size_t kN = 100;
+  std::vector<int> visits(kN, 0);
+  bool off_caller = false;
+  pool.parallel_for(kN, [&](std::size_t i) {
+    ++visits[i];
+    off_caller |= std::this_thread::get_id() != caller;
+  });
+  EXPECT_FALSE(off_caller);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(visits[i], 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPool, SharedPoolIsReusedAndResizable) {
