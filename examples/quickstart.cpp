@@ -62,8 +62,7 @@ int run_main(int argc, char** argv) {
       cli.get_or("policy", std::string("pb")), w.catalog, *estimator);
   cache::PartialStore store(net::from_gb(cli.get_or("cache-gb", 8.0)));
   sim::ObservationQueue observations;
-  sim::DecisionKernel<cache::CachePolicy, net::BandwidthEstimator> kernel(
-      *policy, *estimator, store, observations);
+  sim::DecisionKernel kernel(*policy, *estimator, store, observations);
 
   // 4. Replay the trace; report delay/quality in trace quarters so the
   //    learning effect is visible.

@@ -9,25 +9,22 @@ HybridKernel::HybridKernel(double e) : e_(e) {
   if (e < 0.0 || e > 1.0) {
     throw std::invalid_argument("HybridPolicy: e must be in [0, 1]");
   }
-}
-
-std::string HybridKernel::name() const {
   std::ostringstream ss;
   ss << "Hybrid(e=" << e_ << ")";
-  return ss.str();
+  name_ = ss.str();
 }
 
 PbvKernel::PbvKernel(double e) : e_(e) {
   if (e < 0.0 || e > 1.0) {
     throw std::invalid_argument("PbvPolicy: e must be in [0, 1]");
   }
-}
-
-std::string PbvKernel::name() const {
-  if (e_ == 1.0) return "PB-V";
+  if (e_ == 1.0) {
+    name_ = "PB-V";
+    return;
+  }
   std::ostringstream ss;
   ss << "PB-V(e=" << e_ << ")";
-  return ss.str();
+  name_ = ss.str();
 }
 
 }  // namespace sc::cache

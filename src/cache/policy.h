@@ -10,14 +10,14 @@
 // prescribes; LRU, whose keys only ever grow, uses the O(1) RecencyList
 // (cache/recency_list.h).
 //
-// The engine is devirtualized: UtilityPolicy<Kernel> implements the
-// admission/eviction loop once as a template over a small *kernel* type
-// whose utility() / desired_bytes() / kIntegral members are plain
-// (non-virtual) and inline into the loop. Per-object data is read
-// through the catalog's structure-of-arrays view (workload::CatalogView)
-// so an access touches a few contiguous doubles instead of a whole
-// StreamObject. Virtual dispatch survives only at the simulator
-// boundary (CachePolicy::on_access — one indirect call per request).
+// UtilityPolicy<Kernel> implements the admission/eviction loop once as a
+// template over a small *kernel* type whose utility() / desired_bytes()
+// / kIntegral members are plain (non-virtual) and inline into the loop.
+// Per-object data is read through the catalog's structure-of-arrays view
+// (workload::CatalogView) so an access touches a few contiguous doubles
+// instead of a whole StreamObject. Virtual dispatch happens at the
+// CachePolicy::on_access boundary and at the one estimate() call inside
+// it.
 //
 // The concrete policy names (IfPolicy, PbPolicy, ...) are aliases of
 // UtilityPolicy<Kernel> instantiations, constructed exactly as before:
@@ -43,16 +43,14 @@ using workload::CatalogView;
 using workload::StreamObject;
 
 /// Default bandwidth under-estimation factor `e` for the Hybrid /
-/// PB-V(e) kernels when a spec omits it. Shared by the registry
-/// factories and the monomorphized dispatch table (both must agree or
-/// their bit-identity contract breaks).
+/// PB-V(e) kernels when a spec omits it (core/registry.cpp).
 inline constexpr double kDefaultKernelE = 1.0;
 
 /// Point-in-time copy of a policy's learned state, the unit the
 /// persistence layer (src/server/persist.h) snapshots and restores. The
 /// shape is policy-agnostic: the shared utility-engine state (request
 /// frequencies and the priority index's (id, key) pairs) plus an opaque
-/// kernel blob (e.g. LRU's recency array). A policy that keeps no state
+/// kernel blob (e.g. LRU's logical clock). A policy that keeps no state
 /// saves an empty snapshot.
 struct PolicySnapshot {
   std::vector<double> freq;                       // indexed by ObjectId
@@ -77,6 +75,18 @@ class CachePolicy {
   /// must clear the store as well; policy state and store contents are
   /// kept consistent only through on_access.
   virtual void reset() = 0;
+
+  /// Re-target at a new catalog and estimator for a new simulation,
+  /// forgetting all learned state and reusing storage: afterwards the
+  /// policy must be indistinguishable from the one its registry factory
+  /// builds for the same spec over `catalog` and `estimator`
+  /// (sim::SimulationArena relies on this). Returns false, leaving the
+  /// policy untouched, when it cannot; the default, so a policy without
+  /// an override is rebuilt for every simulation.
+  virtual bool rebind(const workload::Catalog& /*catalog*/,
+                      net::BandwidthEstimator& /*estimator*/) {
+    return false;
+  }
 
   /// Export learned state for persistence. Default: stateless.
   [[nodiscard]] virtual PolicySnapshot save_state() const { return {}; }
@@ -133,8 +143,8 @@ class UtilityPolicyBase : public CachePolicy {
   /// Re-target the engine at a new catalog + estimator and forget the
   /// learned frequencies, reusing their storage. Protected on purpose:
   /// rebinding must go through the derived UtilityPolicy<Kernel>::rebind,
-  /// which additionally resets the index and the kernel state (e.g. LRU
-  /// recency) — calling this half alone through a base reference would
+  /// which additionally resets the index and the kernel state (e.g. the
+  /// LRU clock) — calling this half alone through a base reference would
   /// silently carry that state across simulations.
   void rebind_base(const workload::Catalog& catalog,
                    net::BandwidthEstimator& estimator) {
@@ -159,8 +169,6 @@ class UtilityPolicyBase : public CachePolicy {
 struct KernelBase {
   /// The engine's priority index over cached objects (utility keys).
   using Index = IndexedMinHeap;
-  /// Pre-size any per-object kernel state (LRU's recency array).
-  void bind(const CatalogView&) {}
   /// Recency bookkeeping before utilities are computed.
   void before_access(ObjectId, double) {}
   /// Forget learned kernel state.
@@ -229,7 +237,7 @@ struct IbKernel : KernelBase {
 struct HybridKernel : KernelBase {
   static constexpr bool kIntegral = false;
   explicit HybridKernel(double e);
-  [[nodiscard]] std::string name() const;
+  [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] double e() const noexcept { return e_; }
   [[nodiscard]] double utility(const CatalogView& v, ObjectId id, double freq,
                                double bandwidth) const {
@@ -243,6 +251,7 @@ struct HybridKernel : KernelBase {
 
  private:
   double e_;
+  std::string name_;  // formatted once, at construction
 };
 
 /// PB-V: Partial Bandwidth-Value-based caching (§2.6). Greedy key
@@ -252,7 +261,7 @@ struct HybridKernel : KernelBase {
 struct PbvKernel : KernelBase {
   static constexpr bool kIntegral = false;
   explicit PbvKernel(double e = kDefaultKernelE);
-  [[nodiscard]] std::string name() const;
+  [[nodiscard]] std::string name() const { return name_; }
   [[nodiscard]] double e() const noexcept { return e_; }
   [[nodiscard]] double utility(const CatalogView& v, ObjectId id, double freq,
                                double bandwidth) const {
@@ -269,6 +278,7 @@ struct PbvKernel : KernelBase {
 
  private:
   double e_;
+  std::string name_;  // formatted once, at construction
 };
 
 /// IB-V: Integral Bandwidth-Value-based caching (§4.4). Whole objects
@@ -289,34 +299,31 @@ struct IbvKernel : KernelBase {
   }
 };
 
-/// LRU over whole objects (network-oblivious baseline, §3.3).
+/// LRU over whole objects (network-oblivious baseline, §3.3). An
+/// object's key is the logical clock of its last access; the engine calls
+/// utility() only for the object before_access() just stamped, so the
+/// key is the current clock and no per-object array is needed (the
+/// index holds every cached object's key).
 struct LruKernel : KernelBase {
   /// Keys are a strictly increasing clock: O(1) in key order.
   using Index = RecencyList;
   static constexpr bool kIntegral = true;
   [[nodiscard]] std::string name() const { return "LRU"; }
-  void bind(const CatalogView& v) { last_access_.assign(v.size, 0.0); }
-  void before_access(ObjectId id, double /*now_s*/) {
+  void before_access(ObjectId, double /*now_s*/) {
     clock_ += 1.0;  // logical clock: strictly increasing per access
-    last_access_[id] = clock_;
   }
-  void reset() {
-    std::fill(last_access_.begin(), last_access_.end(), 0.0);
-    clock_ = 0.0;
-  }
-  void save(std::vector<double>& blob) const {
-    blob.push_back(clock_);
-    blob.insert(blob.end(), last_access_.begin(), last_access_.end());
-  }
+  void reset() { clock_ = 0.0; }
+  /// Blob: the clock alone; any other shape is rejected, so a snapshot
+  /// from an older layout degrades to a cold start.
+  void save(std::vector<double>& blob) const { blob.push_back(clock_); }
   [[nodiscard]] bool load(const std::vector<double>& blob) {
-    if (blob.size() != 1 + last_access_.size()) return false;
+    if (blob.size() != 1) return false;
     clock_ = blob[0];
-    std::copy(blob.begin() + 1, blob.end(), last_access_.begin());
     return true;
   }
-  [[nodiscard]] double utility(const CatalogView&, ObjectId id, double,
+  [[nodiscard]] double utility(const CatalogView&, ObjectId, double,
                                double) const {
-    return last_access_[id];
+    return clock_;
   }
   [[nodiscard]] double desired_bytes(const CatalogView& v, ObjectId id,
                                      double) const {
@@ -324,7 +331,6 @@ struct LruKernel : KernelBase {
   }
 
  private:
-  std::vector<double> last_access_;
   double clock_ = 0.0;
 };
 
@@ -350,9 +356,7 @@ class UtilityPolicy final : public UtilityPolicyBase {
                          KernelArgs&&... kernel_args)
       : UtilityPolicyBase(catalog, estimator),
         index_(catalog.size()),
-        kernel_(std::forward<KernelArgs>(kernel_args)...) {
-    kernel_.bind(view_);
-  }
+        kernel_(std::forward<KernelArgs>(kernel_args)...) {}
 
   [[nodiscard]] std::string name() const override { return kernel_.name(); }
 
@@ -364,21 +368,14 @@ class UtilityPolicy final : public UtilityPolicyBase {
 
   [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
 
-  /// Re-target at a new catalog + estimator and forget all learned
-  /// state — the frequencies, the index and the kernel's own per-object
-  /// state (e.g. LRU recency) — reusing every piece of storage (arena
-  /// reuse across the simulations one worker executes). After rebind the
-  /// policy is indistinguishable from a freshly constructed one.
-  void rebind(const workload::Catalog& catalog,
-              net::BandwidthEstimator& estimator) {
+  /// Forgets the frequencies, the index and the kernel's own state
+  /// (e.g. the LRU clock), keeping the kernel's parameters (Hybrid's e).
+  bool rebind(const workload::Catalog& catalog,
+              net::BandwidthEstimator& estimator) override {
     rebind_base(catalog, estimator);
     index_.reset(catalog.size());
-    kernel_.bind(view_);
     kernel_.reset();
-  }
-
-  void on_access(ObjectId id, double now_s, PartialStore& store) override {
-    access(id, now_s, store, *estimator_);
+    return true;
   }
 
   [[nodiscard]] bool index_key(ObjectId id, double* key) const override {
@@ -460,15 +457,8 @@ class UtilityPolicy final : public UtilityPolicyBase {
     return true;
   }
 
-  /// The admission/eviction body, templated over the estimator's static
-  /// type. The virtual on_access boundary instantiates it with the
-  /// BandwidthEstimator interface; the monomorphized run loop passes the
-  /// concrete estimator kernel instead, so the per-request estimate()
-  /// call — the last virtual call inside the loop — compiles to direct
-  /// inlined code.
-  template <typename Estimator>
-  void access(ObjectId id, double now_s, PartialStore& store,
-              Estimator& estimator) {
+  /// The admission/eviction body.
+  void on_access(ObjectId id, double now_s, PartialStore& store) override {
     /// Slack (bytes) below which size differences are treated as zero.
     /// One byte: cache sizes run to ~10^11 bytes, where the double ulp
     /// is ~10^-5, so a sub-byte epsilon would be swallowed by rounding
@@ -477,7 +467,7 @@ class UtilityPolicy final : public UtilityPolicyBase {
 
     kernel_.before_access(id, now_s);
     freq_[id] += 1.0;
-    const double bw = estimator.estimate(view_.path[id], now_s);
+    const double bw = estimator_->estimate(view_.path[id], now_s);
     const double u = kernel_.utility(view_, id, freq_[id], bw);
     const double desired =
         std::min(kernel_.desired_bytes(view_, id, bw), view_.size_bytes[id]);

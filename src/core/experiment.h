@@ -73,9 +73,8 @@ struct AveragedMetrics {
 
 struct ExperimentConfig {
   workload::WorkloadConfig workload{};
-  /// Per-simulation knobs: component specs, capacity, extensions, and
-  /// sim::SimulationConfig::monomorphize (set `sim.monomorphize =
-  /// false` to force the virtual-dispatch regression oracle).
+  /// Per-simulation knobs: component specs, capacity, extensions, fault
+  /// plan and seed.
   sim::SimulationConfig sim{};
   /// Independent replications; the paper averages ten runs per point.
   std::size_t runs = 10;

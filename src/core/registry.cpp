@@ -22,6 +22,11 @@ std::string to_string(Kind kind) {
 
 namespace {
 
+/// Estimator spec-parameter defaults for bare specs.
+constexpr double kEwmaAlpha = 0.3;
+constexpr double kPriorKbps = 50.0;
+constexpr double kProbeIntervalS = 3600.0;
+
 template <typename Factory>
 struct Axis {
   std::vector<std::pair<ComponentInfo, Factory>> entries;
@@ -116,8 +121,9 @@ Tables make_builtins() {
   Tables t;
 
   // ---- policies ---------------------------------------------------------
-  // Constructed directly as UtilityPolicy instantiations — the same
-  // types the monomorphized dispatch table (sim/arena.h) caches.
+  // Constructed directly as UtilityPolicy instantiations, which
+  // implement CachePolicy::rebind, so sim::SimulationArena reuses them
+  // across simulations.
   const auto simple_policy = [](auto kernel_tag) {
     using Kernel = decltype(kernel_tag);
     return [](const util::Spec&, const PolicyContext& ctx)
@@ -179,9 +185,8 @@ Tables make_builtins() {
       [](const util::Spec& spec, EstimatorContext& ctx) {
         return std::make_unique<net::PassiveEwmaEstimator>(
             ctx.paths.size(),
-            spec.get_double("alpha", net::estimator_defaults::kEwmaAlpha),
-            net::from_kb(spec.get_double(
-                "prior_kbps", net::estimator_defaults::kPriorKbps)));
+            spec.get_double("alpha", kEwmaAlpha),
+            net::from_kb(spec.get_double("prior_kbps", kPriorKbps)));
       });
   t.estimators.add(
       Kind::kEstimator,
@@ -192,8 +197,7 @@ Tables make_builtins() {
       [](const util::Spec& spec, EstimatorContext& ctx) {
         return std::make_unique<net::LastSampleEstimator>(
             ctx.paths.size(),
-            net::from_kb(spec.get_double(
-                "prior_kbps", net::estimator_defaults::kPriorKbps)));
+            net::from_kb(spec.get_double("prior_kbps", kPriorKbps)));
       });
   t.estimators.add(
       Kind::kEstimator,
@@ -202,18 +206,13 @@ Tables make_builtins() {
        "active TCP-model probing with overhead accounting",
        {"interval_s", "train_packets"}},
       [](const util::Spec& spec, EstimatorContext& ctx) {
-        const std::vector<double>& means = ctx.paths.means();
         net::ProbeConfig probe_config;
         probe_config.train_packets = static_cast<std::size_t>(
             spec.get_int("train_packets",
                          static_cast<long long>(probe_config.train_packets)));
-        auto model = std::make_unique<net::ProbeModel>(
-            means, probe_config, ctx.rng.fork("probe"));
         return std::make_unique<net::ActiveProbeEstimator>(
-            std::move(model),
-            spec.get_double("interval_s",
-                            net::estimator_defaults::kProbeIntervalS),
-            ctx.rng.fork("probe-rng"));
+            ctx.paths, probe_config,
+            spec.get_double("interval_s", kProbeIntervalS), ctx.rng);
       });
 
   // ---- scenarios --------------------------------------------------------

@@ -53,16 +53,13 @@ RunOutcome extract_outcome(const sim::SimulationResult& r) {
 }
 
 /// One simulation of a lockstep group (see SweepRunner::run): its
-/// (cell * runs + replication) slot, the engine executing it, the draws
-/// it reads, and the wall time of its own begin/consume/finish calls.
+/// (cell * runs + replication) slot, what executes it (the worker arena's
+/// engine for a single cell, a fleet::FleetLoop for a fleet cell), the
+/// draws it reads, and the wall time of its own begin/consume/finish
+/// calls.
 struct Lane {
   std::size_t slot = 0;
-  /// The worker arena's monomorphized engine, or null for the virtual
-  /// fallback (out-of-table specs, monomorphize == false), which gets a
-  /// fresh Simulator per simulation exactly as before arenas existed,
-  /// or for a fleet cell, which runs a fleet::FleetLoop.
-  sim::MonoEngineBase* engine = nullptr;
-  std::unique_ptr<sim::Simulator> fallback;
+  sim::SimulationArena::Engine* engine = nullptr;
   std::unique_ptr<fleet::FleetLoop> fleet;
   /// Index of the worker's draw set this lane reads.
   std::size_t draws = 0;
@@ -72,24 +69,19 @@ struct Lane {
                const sim::BlockDraws& block_draws) {
     if (engine != nullptr) {
       engine->consume(block, block_draws);
-    } else if (fleet != nullptr) {
-      fleet->consume(block, block_draws);
     } else {
-      fallback->consume(block, block_draws);
+      fleet->consume(block, block_draws);
     }
   }
   [[nodiscard]] RunOutcome finish() {
-    if (fleet != nullptr) {
-      const fleet::FleetResult fr = fleet->finish();
-      fleet.reset();
-      RunOutcome out = extract_outcome(fr.aggregate);
-      out.uplink_utilization = fr.uplink_utilization;
-      out.load_imbalance = fr.load_imbalance;
-      out.peer_hit_ratio = fr.peer_hit_ratio;
-      return out;
-    }
-    return extract_outcome(engine != nullptr ? engine->finish()
-                                             : fallback->finish());
+    if (engine != nullptr) return extract_outcome(engine->finish());
+    const fleet::FleetResult fr = fleet->finish();
+    fleet.reset();
+    RunOutcome out = extract_outcome(fr.aggregate);
+    out.uplink_utilization = fr.uplink_utilization;
+    out.load_imbalance = fr.load_imbalance;
+    out.peer_hit_ratio = fr.peer_hit_ratio;
+    return out;
   }
 };
 
@@ -109,8 +101,8 @@ struct DrawSet {
   sim::BlockDraws draws;
 };
 
-/// One pool slot's private execution state: the monomorphized engines
-/// it has built (reused across every simulation it executes), the cursor
+/// One pool slot's private execution state: the arena engines it has
+/// built (reused across every simulation it executes), the cursor
 /// its groups pull request blocks from, the current group's lanes, and
 /// its draw sets (the first `active_draws` belong to the current group).
 /// Not shared between threads.
@@ -144,29 +136,15 @@ void begin_lane(Lane& lane, const workload::RequestStream& stream,
         &scenario.base, &scenario.ratio);
     return;
   }
-  if (sim_config.monomorphize) {
-    lane.engine = sim::acquire_mono_engine(arena, sim_config);
-  }
-  if (lane.engine != nullptr) {
-    sim::MonoRunContext context;
-    context.stream = &stream;
-    context.model = std::move(path_model);
-    context.base = &scenario.base;
-    context.ratio = &scenario.ratio;
-    context.config = &sim_config;
-    context.seed = path_seed;
-    lane.engine->begin(context);
-    return;
-  }
-  sim::SimulationConfig config = sim_config;
-  config.seed = path_seed;
-  lane.fallback =
-      path_model != nullptr
-          ? std::make_unique<sim::Simulator>(stream, std::move(path_model),
-                                             config)
-          : std::make_unique<sim::Simulator>(stream, scenario.base,
-                                             scenario.ratio, config);
-  lane.fallback->begin();
+  sim::RunContext context;
+  context.stream = &stream;
+  context.model = std::move(path_model);
+  context.base = &scenario.base;
+  context.ratio = &scenario.ratio;
+  context.config = &sim_config;
+  context.seed = path_seed;
+  lane.engine = &arena.engine(sim_config);
+  lane.engine->begin(context);
 }
 
 /// A pool task: the simulation slots order[first, last), one lockstep
@@ -391,7 +369,7 @@ std::vector<AveragedMetrics> SweepRunner::run(
   // pass feeds each block to every simulation of the group. Group k of
   // a stream holds the k-th simulation of each distinct (policy,
   // estimator) spec pair on it, so no group needs the same arena engine
-  // twice and a worker caches exactly the engines it did before. Fleet
+  // twice. Fleet
   // cells all share one key, so a group holds at most one fleet: a
   // 16-proxy fleet is several single cells' worth of memory, and one per
   // group keeps the peak at one fleet per pool slot, as when fleets ran
@@ -562,9 +540,9 @@ std::vector<AveragedMetrics> SweepRunner::run(
       owned = std::make_unique<util::ThreadPool>(base_.threads);
       pool = owned.get();
     }
-    // One worker state per pool slot: each slot caches the
-    // monomorphized engines (and their reusable event queue / store /
-    // heap / estimator state) for the spec pairs it executes, so
+    // One worker state per pool slot: each slot caches the arena
+    // engines (components plus their reusable event queue / store /
+    // index / estimator state) for the spec pairs it executes, so
     // steady-state sweep allocations are O(workers x distinct specs),
     // not O(cells x replications).
     std::vector<Worker> workers(pool->thread_count());

@@ -226,15 +226,14 @@ class FleetCouplings {
 }  // namespace
 
 struct FleetLoop::State {
-  using Loop = sim::RequestLoop<cache::CachePolicy, net::BandwidthEstimator,
-                                FleetCouplings>;
+  using Loop = sim::RequestLoop<FleetCouplings>;
 
   /// The run's path model and per-object §2.2 operands (its own proxy
   /// stays idle).
   sim::RunState run;
   std::vector<sim::VirtualProxy> components;
   std::vector<sim::ProxyState> proxies;
-  std::vector<Loop::Unit> units;
+  std::vector<sim::ProxyUnit> units;
   std::optional<Loop> loop;
   double t_first = 0.0;
   double t_last = 0.0;
@@ -263,7 +262,7 @@ FleetLoop::FleetLoop(const workload::RequestStream& stream,
   const workload::Catalog& catalog = stream.catalog();
   const std::size_t n_objects = catalog.size();
 
-  // Root RNG and path model exactly as sim::Simulator::run_fallback —
+  // Root RNG and path model exactly as sim::Simulator::run —
   // every fork below is tag-keyed (const), so fork order cannot perturb
   // any stream.
   util::Rng rng(seed);

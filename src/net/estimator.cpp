@@ -33,31 +33,31 @@ ProbeKernel::ProbeKernel(const ProbeModel& model, double reprobe_interval_s,
   }
 }
 
-ProbeKernel::ProbeKernel(std::unique_ptr<ProbeModel> model,
+ProbeKernel::ProbeKernel(const PathModel& paths, ProbeConfig config,
                          double reprobe_interval_s, util::Rng rng)
-    : owned_model_(std::move(model)),
+    : owned_model_(std::make_unique<ProbeModel>(paths.means(), config,
+                                                rng.fork("probe"))),
       model_(owned_model_.get()),
       reprobe_interval_s_(reprobe_interval_s),
-      rng_(std::move(rng)),
-      cached_(owned_model_ ? owned_model_->size() : 0, -1.0),
-      probe_time_(owned_model_ ? owned_model_->size() : 0, -1.0) {
-  if (!owned_model_) {
-    throw std::invalid_argument("ActiveProbeEstimator: null probe model");
-  }
+      rng_(rng.fork("probe-rng")),
+      cached_(paths.size(), -1.0),
+      probe_time_(paths.size(), -1.0) {
   if (reprobe_interval_s <= 0) {
     throw std::invalid_argument("ActiveProbeEstimator: interval must be > 0");
   }
 }
 
-void ProbeKernel::rebind(std::unique_ptr<ProbeModel> model, util::Rng rng) {
-  if (!model) {
-    throw std::invalid_argument("ActiveProbeEstimator: null probe model");
+void ProbeKernel::rebind(const PathModel& paths, util::Rng rng) {
+  if (owned_model_ == nullptr) {
+    owned_model_ = std::make_unique<ProbeModel>(
+        paths.means(), model_->config(), rng.fork("probe"));
+    model_ = owned_model_.get();
+  } else {
+    owned_model_->redraw(paths.means(), rng.fork("probe"));
   }
-  owned_model_ = std::move(model);
-  model_ = owned_model_.get();
-  rng_ = std::move(rng);
-  cached_.assign(model_->size(), -1.0);
-  probe_time_.assign(model_->size(), -1.0);
+  rng_ = rng.fork("probe-rng");
+  cached_.assign(paths.size(), -1.0);
+  probe_time_.assign(paths.size(), -1.0);
   overhead_packets_ = 0;
 }
 

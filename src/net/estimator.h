@@ -5,20 +5,15 @@
 //
 //   *Kernel structs  - non-virtual, header-inline state machines
 //                      (OracleKernel, EwmaKernel, LastSampleKernel,
-//                      ProbeKernel). The monomorphized simulation engine
-//                      (sim/arena.h) instantiates its request loop over a
-//                      kernel type, so estimate()/observe() compile to
-//                      direct inlined code and the "does this estimator
-//                      consume completion events?" question resolves at
-//                      compile time via Kernel::kUsesObservations.
+//                      ProbeKernel), each with a rebind() that resets it
+//                      for a new simulation without reallocating.
 //   KernelEstimator<Kernel> - the virtual adapter implementing the
-//                      BandwidthEstimator boundary interface for the
-//                      fallback path and for user code that holds
-//                      estimators behind the interface. The familiar
-//                      class names (OracleEstimator, PassiveEwmaEstimator,
-//                      LastSampleEstimator, ActiveProbeEstimator) are
-//                      final adapters with their historical constructor
-//                      signatures.
+//                      BandwidthEstimator interface every consumer (the
+//                      simulator, the fleet, the proxy daemon) holds. The
+//                      familiar class names (OracleEstimator,
+//                      PassiveEwmaEstimator, LastSampleEstimator,
+//                      ActiveProbeEstimator) are final adapters with their
+//                      historical constructor signatures.
 //
 // Schemes:
 //   OracleEstimator      - returns the true long-run mean (the paper's
@@ -43,17 +38,6 @@
 #include "util/rng.h"
 
 namespace sc::net {
-
-/// Spec-parameter defaults, shared by the registry's estimator
-/// factories (core/registry.cpp) and the monomorphized dispatch table
-/// (sim/monomorphize.cpp). Both construction paths must use identical
-/// defaults for bare specs or their bit-identity contract breaks —
-/// keep the single source of truth here.
-namespace estimator_defaults {
-inline constexpr double kEwmaAlpha = 0.3;
-inline constexpr double kPriorKbps = 50.0;
-inline constexpr double kProbeIntervalS = 3600.0;
-}  // namespace estimator_defaults
 
 /// Interface through which cache policies learn per-path bandwidth.
 class BandwidthEstimator {
@@ -85,13 +69,24 @@ class BandwidthEstimator {
   virtual bool load_state(const std::vector<double>& blob) {
     return blob.empty();
   }
+
+  /// Re-initialize for a new simulation over `paths`, seeded from `rng`,
+  /// reusing storage: afterwards the estimator must be indistinguishable
+  /// from the one its registry factory builds for the same spec, paths
+  /// and rng (sim::SimulationArena relies on this). Returns false,
+  /// leaving the estimator untouched, when it cannot; the default, so an
+  /// estimator without an override is rebuilt for every simulation.
+  virtual bool rebind(const PathModel& /*paths*/, util::Rng /*rng*/) {
+    return false;
+  }
 };
 
 // ---------------------------------------------------------------------
 // Non-virtual kernels. Every kernel provides observe / estimate /
-// overhead_packets, the kUsesObservations constant, and a rebind()
-// that re-initializes it for a fresh simulation (arena reuse): after
-// rebind a kernel is bit-identical to a newly constructed one.
+// overhead_packets, the kUsesObservations constant, and a
+// rebind(paths, rng) that re-initializes it for a fresh simulation
+// (arena reuse): after rebind a kernel is bit-identical to a newly
+// constructed one with the same parameters.
 
 /// Knows the true per-path mean (upper bound on estimator quality).
 /// Consults the immutable PathModel only, so one shared model can feed
@@ -109,7 +104,7 @@ class OracleKernel {
   [[nodiscard]] std::size_t overhead_packets() const { return 0; }
 
   /// Re-point at a new replication's model.
-  void rebind(const PathModel& paths) { paths_ = &paths; }
+  void rebind(const PathModel& paths, util::Rng) { paths_ = &paths; }
 
   [[nodiscard]] std::vector<double> save_state() const { return {}; }
   [[nodiscard]] bool load_state(const std::vector<double>& blob) {
@@ -150,8 +145,8 @@ class EwmaKernel {
   }
 
   /// Forget every observation (storage reused).
-  void rebind(std::size_t n_paths) {
-    estimates_.assign(n_paths, -1.0);
+  void rebind(const PathModel& paths, util::Rng) {
+    estimates_.assign(paths.size(), -1.0);
     observed_count_ = 0;
   }
 
@@ -191,7 +186,9 @@ class LastSampleKernel {
   }
   [[nodiscard]] std::size_t overhead_packets() const { return 0; }
 
-  void rebind(std::size_t n_paths) { last_.assign(n_paths, -1.0); }
+  void rebind(const PathModel& paths, util::Rng) {
+    last_.assign(paths.size(), -1.0);
+  }
 
   [[nodiscard]] std::vector<double> save_state() const { return last_; }
   [[nodiscard]] bool load_state(const std::vector<double>& blob) {
@@ -211,13 +208,16 @@ class ProbeKernel {
  public:
   static constexpr bool kUsesObservations = false;
 
+  /// Probes through a caller-owned `model`, which must outlive the
+  /// kernel.
   ProbeKernel(const ProbeModel& model, double reprobe_interval_s,
               util::Rng rng);
 
-  /// Owning variant: keeps `model` alive for the kernel's lifetime (used
-  /// by registry factories, which have no place to park the model).
-  ProbeKernel(std::unique_ptr<ProbeModel> model, double reprobe_interval_s,
-              util::Rng rng);
+  /// Owns a probe model over `paths`' true means: the latent path state
+  /// is drawn from `rng`'s "probe" fork and the measurements from its
+  /// "probe-rng" fork (the registry's probe factory).
+  ProbeKernel(const PathModel& paths, ProbeConfig config,
+              double reprobe_interval_s, util::Rng rng);
 
   void observe(PathId, double, double) {}  // purely active
   [[nodiscard]] double estimate(PathId path, double now_s) {
@@ -235,9 +235,11 @@ class ProbeKernel {
     return overhead_packets_;
   }
 
-  /// Swap in a fresh probe model (new replication's path means) and
-  /// measurement stream; probe caches and overhead restart from zero.
-  void rebind(std::unique_ptr<ProbeModel> model, util::Rng rng);
+  /// Redraw the owned probe model over `paths` (keeping its
+  /// ProbeConfig) and the measurement stream from `rng`, with the forks
+  /// of the PathModel constructor; probe caches and overhead restart
+  /// from zero. Storage is reused.
+  void rebind(const PathModel& paths, util::Rng rng);
 
   /// Blob layout: cached estimates, probe timestamps, overhead count.
   /// The probe RNG is deliberately not captured: after a restore, paths
@@ -277,9 +279,7 @@ class ProbeKernel {
 // Virtual boundary adapters.
 
 /// Implements the BandwidthEstimator interface over a kernel. Holding a
-/// concrete adapter (the final classes below) devirtualizes every call;
-/// the monomorphized engine bypasses the adapter entirely and talks to
-/// kernel() directly.
+/// concrete adapter (the final classes below) devirtualizes every call.
 template <typename Kernel>
 class KernelEstimator : public BandwidthEstimator {
  public:
@@ -312,6 +312,10 @@ class KernelEstimator : public BandwidthEstimator {
   }
   bool load_state(const std::vector<double>& blob) override {
     return kernel_.load_state(blob);
+  }
+  bool rebind(const PathModel& paths, util::Rng rng) override {
+    kernel_.rebind(paths, std::move(rng));
+    return true;
   }
 
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
@@ -346,12 +350,9 @@ class ActiveProbeEstimator final : public KernelEstimator<ProbeKernel> {
   ActiveProbeEstimator(const ProbeModel& model, double reprobe_interval_s,
                        util::Rng rng)
       : KernelEstimator(model, reprobe_interval_s, std::move(rng)) {}
-  /// Owning variant: keeps `model` alive for the estimator's lifetime
-  /// (used by registry factories, which have no place to park the model).
-  ActiveProbeEstimator(std::unique_ptr<ProbeModel> model,
+  ActiveProbeEstimator(const PathModel& paths, ProbeConfig config,
                        double reprobe_interval_s, util::Rng rng)
-      : KernelEstimator(std::move(model), reprobe_interval_s,
-                        std::move(rng)) {}
+      : KernelEstimator(paths, config, reprobe_interval_s, std::move(rng)) {}
 };
 
 }  // namespace sc::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace sc::net {
 
@@ -27,9 +28,15 @@ double loss_for_bandwidth(double bandwidth, double mss_bytes, double rtt_s) {
 ProbeModel::ProbeModel(const std::vector<double>& mean_bandwidths,
                        ProbeConfig config, util::Rng rng)
     : config_(config) {
+  redraw(mean_bandwidths, std::move(rng));
+}
+
+void ProbeModel::redraw(const std::vector<double>& mean_bandwidths,
+                        util::Rng rng) {
   if (mean_bandwidths.empty()) {
     throw std::invalid_argument("ProbeModel: no paths");
   }
+  states_.clear();
   states_.reserve(mean_bandwidths.size());
   for (const double bw : mean_bandwidths) {
     if (bw <= 0) throw std::invalid_argument("ProbeModel: bandwidth <= 0");

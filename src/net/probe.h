@@ -61,6 +61,10 @@ class ProbeModel {
   ProbeModel(const std::vector<double>& mean_bandwidths, ProbeConfig config,
              util::Rng rng);
 
+  /// Reassign every path's latent state as the constructor would for
+  /// `mean_bandwidths` and `rng`, keeping the config (storage reused).
+  void redraw(const std::vector<double>& mean_bandwidths, util::Rng rng);
+
   /// Simulate one probe of `path`; returns a noisy bandwidth estimate and
   /// the probing overhead incurred.
   [[nodiscard]] ProbeResult probe(std::size_t path, util::Rng& rng) const;

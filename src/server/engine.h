@@ -199,8 +199,7 @@ class ServiceEngine {
   void maybe_snapshot();
 
  private:
-  using Kernel =
-      sim::DecisionKernel<cache::CachePolicy, net::BandwidthEstimator>;
+  using Kernel = sim::DecisionKernel;
 
   /// One serve attempt (no retries; `is_retry` only tags the counter).
   [[nodiscard]] ServeResult serve_range_once(std::uint64_t object,

@@ -23,7 +23,9 @@
 
 #include <limits>
 
+#include "cache/policy.h"
 #include "cache/store.h"
+#include "net/estimator.h"
 #include "net/fault.h"
 #include "net/path_process.h"
 #include "sim/event_queue.h"
@@ -31,54 +33,30 @@
 
 namespace sc::sim {
 
-/// Compile-time view of an estimator's observation behavior. The primary
-/// template covers the virtual interface (runtime query); the
-/// specialization picks up kernel types that expose the
-/// kUsesObservations constant, letting callers drop the event-schedule
-/// branch entirely for oracle/probe kernels.
-template <typename Estimator, typename = void>
-struct ObservationTraits {
-  /// True when the estimator type proves at compile time that
-  /// observations are discarded.
-  static constexpr bool kStaticallyDiscards = false;
-  [[nodiscard]] static bool uses(const Estimator& estimator) {
-    return estimator.uses_observations();
-  }
-};
-
-template <typename Estimator>
-struct ObservationTraits<
-    Estimator, std::void_t<decltype(Estimator::kUsesObservations)>> {
-  static constexpr bool kStaticallyDiscards = !Estimator::kUsesObservations;
-  [[nodiscard]] static constexpr bool uses(const Estimator&) {
-    return Estimator::kUsesObservations;
-  }
-};
-
 /// Non-owning view over one (policy, estimator, store, observation
-/// queue) quadruple. Instantiated with the concrete kernel types by the
-/// monomorphized engines (everything inlines) and with the virtual
-/// CachePolicy / BandwidthEstimator interfaces by the fallback simulator
-/// and the live proxy daemon (one indirect call per operation — fine off
-/// the 30M-requests/sec path).
+/// queue) quadruple, driven through the virtual CachePolicy /
+/// BandwidthEstimator interfaces by the simulated request loop, the
+/// fleet and the live proxy daemon alike.
 ///
 /// All state lives in the referenced components; the kernel itself is a
 /// few pointers and is trivially copyable. Not thread-safe: concurrent
 /// callers (the server) must serialize access externally (see
 /// docs/SERVER.md, "Lock discipline").
-template <typename Policy, typename Estimator>
 class DecisionKernel {
  public:
-  DecisionKernel(Policy& policy, Estimator& estimator,
+  DecisionKernel(cache::CachePolicy& policy,
+                 net::BandwidthEstimator& estimator,
                  cache::PartialStore& store, ObservationQueue& events)
       : policy_(&policy),
         estimator_(&estimator),
         store_(&store),
         events_(&events),
-        observes_(ObservationTraits<Estimator>::uses(estimator)) {}
+        observes_(estimator.uses_observations()) {}
 
-  [[nodiscard]] Policy& policy() noexcept { return *policy_; }
-  [[nodiscard]] Estimator& estimator() noexcept { return *estimator_; }
+  [[nodiscard]] cache::CachePolicy& policy() noexcept { return *policy_; }
+  [[nodiscard]] net::BandwidthEstimator& estimator() noexcept {
+    return *estimator_;
+  }
   [[nodiscard]] cache::PartialStore& store() noexcept { return *store_; }
   [[nodiscard]] const cache::PartialStore& store() const noexcept {
     return *store_;
@@ -91,8 +69,7 @@ class DecisionKernel {
   }
 
   /// Whether the estimator consumes completion observations at all
-  /// (constant-folded for kernel estimators; callers gate
-  /// record_transfer on it to skip dead event traffic).
+  /// (callers gate record_transfer on it to skip dead event traffic).
   [[nodiscard]] bool observes() const noexcept { return observes_; }
 
   /// Attach a compiled fault schedule (net/fault.h): observations whose
@@ -136,16 +113,9 @@ class DecisionKernel {
 
   /// Defer the completion observation of a transfer on `path` achieving
   /// `throughput` bytes/second until `done_s`: passive estimators only
-  /// learn a transfer's throughput once it completes. Compiled out
-  /// entirely for statically-discarding (oracle/probe) kernels.
+  /// learn a transfer's throughput once it completes.
   void record_transfer(net::PathId path, double throughput, double done_s) {
-    if constexpr (ObservationTraits<Estimator>::kStaticallyDiscards) {
-      (void)path;
-      (void)throughput;
-      (void)done_s;
-    } else {
-      events_->schedule(done_s, ObservationEvent{path, throughput});
-    }
+    events_->schedule(done_s, ObservationEvent{path, throughput});
   }
 
   /// Run the replacement decision for a request of `id` served at
@@ -161,8 +131,8 @@ class DecisionKernel {
   }
 
  private:
-  Policy* policy_;
-  Estimator* estimator_;
+  cache::CachePolicy* policy_;
+  net::BandwidthEstimator* estimator_;
   cache::PartialStore* store_;
   ObservationQueue* events_;
   const net::FaultSchedule* faults_ = nullptr;

@@ -1,6 +1,5 @@
 // The per-request simulation loop: the one body every trace-driven run
-// executes, as a template over the policy and estimator's *static*
-// types and the couplings between proxy units.
+// executes, as a template over the couplings between proxy units.
 //
 // There is exactly one implementation of the trace-driven request loop
 // (§3 methodology: warmup half, measured half, deferred completion
@@ -11,21 +10,14 @@
 // compile-time Couplings type whose hooks the body calls at fixed
 // points: routing (which unit serves the request), peer cooperation
 // (between the viewing step and patching), the shared uplink (after
-// patching), and per-unit stats. The loop is instantiated three ways:
+// patching), and per-unit stats. Every unit reaches its components
+// through the virtual cache::CachePolicy / net::BandwidthEstimator
+// interfaces. The loop is instantiated twice:
 //
-//   - the virtual fallback (sim/simulator.cpp): Policy = the
-//     cache::CachePolicy interface, Estimator = the
-//     net::BandwidthEstimator interface, one unit, no couplings. This is
-//     the regression oracle and the path user-registered
-//     (out-of-dispatch-table) components run on.
-//   - the monomorphized engines (sim/monomorphize.cpp): Policy = a
-//     MonoPolicyRef over a concrete cache::UtilityPolicy<Kernel>,
-//     Estimator = a concrete estimator kernel, one unit, no couplings.
-//     Every per-request call (estimate, observe, utility, admission)
-//     inlines, and the "schedule a completion event?" branch resolves at
-//     compile time via ObservationTraits.
-//   - the edge fleet (fleet/fleet.cpp): the virtual interfaces, one unit
-//     per proxy, and the fleet's couplings.
+//   - a single cell (sim::Simulator, sim::SimulationArena): one unit, no
+//     couplings.
+//   - the edge fleet (fleet/fleet.cpp): one unit per proxy and the
+//     fleet's couplings.
 //
 // A single cell's Couplings is SingleCell: every hook is an empty inline
 // function and its only unit lives inline in the loop, bound once per
@@ -46,12 +38,13 @@
 // clock. The live proxy daemon (src/server/) drives the identical
 // kernel from the wall clock.
 //
-// Because every instantiation executes the identical expressions in the
-// identical order over the identical RNG streams, their results are
-// bit-identical (tests/test_mono.cpp asserts this for every registered
-// policy x estimator pair, tests/test_fleet.cpp for one-proxy fleets,
-// and the golden CSVs under tests/golden/ pin the series across
-// refactors of this file).
+// Because every run executes the identical expressions in the identical
+// order over the identical RNG streams, results do not depend on who
+// built the components or pulls the blocks (tests/test_arena.cpp asserts
+// this for arena reuse against fresh construction over every registered
+// policy x estimator pair, tests/test_fleet.cpp for one-proxy fleets, and
+// the golden CSVs under tests/golden/ pin the series across refactors of
+// this file).
 #pragma once
 
 #include <algorithm>
@@ -60,7 +53,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cache/policy.h"
@@ -112,8 +104,8 @@ struct ProxyState {
 
 /// The reusable mutable state of one simulation run: everything the
 /// request loop mutates that is sized by the catalog rather than learned
-/// per run. A sim::SimulationArena keeps one RunState per cached engine
-/// so back-to-back simulations reuse the storage.
+/// per run. A sim::SimulationArena keeps one RunState per cached
+/// component pair so back-to-back simulations reuse the storage.
 struct RunState {
   /// A single cell's only proxy unit (a fleet keeps its proxies' states
   /// itself and leaves this one idle).
@@ -144,13 +136,13 @@ struct RunState {
 /// One proxy unit as the request loop serves it: the decision kernel over
 /// the unit's components, its state, and its fault schedule (bound by the
 /// loop; null with an empty fault plan).
-template <typename Policy, typename Estimator>
 struct ProxyUnit {
-  ProxyUnit(Policy& policy, Estimator& estimator, ProxyState& state)
+  ProxyUnit(cache::CachePolicy& policy, net::BandwidthEstimator& estimator,
+            ProxyState& state)
       : decisions(policy, estimator, state.store, state.events),
         state(&state) {}
 
-  DecisionKernel<Policy, Estimator> decisions;
+  DecisionKernel decisions;
   ProxyState* state;
   const net::FaultSchedule* faults = nullptr;
 };
@@ -164,8 +156,8 @@ struct VirtualProxy {
 /// Build proxy `proxy`'s components for `config` through the registry:
 /// the estimator seeded from `rng`'s "estimator" fork ("estimator#<proxy>"
 /// after the first, so a fleet's proxy 0 is seeded as a single cell),
-/// then the policy over it. Shared by sim::Simulator's fallback run and
-/// every fleet::FleetLoop proxy.
+/// then the policy over it. The one construction path of sim::Simulator,
+/// sim::SimulationArena and every fleet::FleetLoop proxy.
 [[nodiscard]] VirtualProxy make_virtual_proxy(const SimulationConfig& config,
                                               const workload::Catalog& catalog,
                                               const net::PathModel& model,
@@ -213,21 +205,17 @@ struct SingleCell {
 /// `rng` must be the run's root stream (Rng(seed), with "paths" already
 /// forked off by the caller if it built the model here); the loop forks
 /// only the tag-keyed "faults" and "viewing" children during
-/// construction, so fork order elsewhere cannot perturb them. `policy`
-/// needs on_access(id, now_s, store) and name(); `estimator` needs
-/// observe(path, throughput, now_s) and overhead_packets(), plus either
-/// uses_observations() or the kernel kUsesObservations constant. All
+/// construction, so fork order elsewhere cannot perturb them. All
 /// referenced objects must outlive the loop.
-template <typename Policy, typename Estimator, typename Couplings = SingleCell>
+template <typename Couplings = SingleCell>
 class RequestLoop {
  public:
-  using Unit = ProxyUnit<Policy, Estimator>;
-
   /// A single cell: one unit over `policy`, `estimator` and
   /// `state.proxy`.
   RequestLoop(const workload::RequestStream& stream,
               const SimulationConfig& config, RunState& state,
-              Policy& policy, Estimator& estimator, const util::Rng& rng)
+              cache::CachePolicy& policy, net::BandwidthEstimator& estimator,
+              const util::Rng& rng)
       : config_(&config),
         state_(&state),
         own_unit_(std::in_place, policy, estimator, state.proxy),
@@ -241,7 +229,7 @@ class RequestLoop {
   /// ProxyState), served under `couplings`; `state` supplies the path
   /// model and the delivery table, and its own proxy stays idle.
   RequestLoop(const workload::RequestStream& stream,
-              const SimulationConfig& config, RunState& state, Unit* units,
+              const SimulationConfig& config, RunState& state, ProxyUnit* units,
               std::size_t n_units, Couplings couplings, const util::Rng& rng)
       : config_(&config),
         state_(&state),
@@ -281,11 +269,11 @@ class RequestLoop {
     const std::size_t warm_count = warm_count_;
     MetricsCollector& metrics = metrics_;
     Couplings& couplings = couplings_;
-    Unit* const units = units_;
+    ProxyUnit* const units = units_;
     // The serving unit; without routing, the only unit, bound once per
     // block.
     std::uint32_t p = 0;
-    Unit* unit = units;
+    ProxyUnit* unit = units;
     const net::FaultSchedule* faults = unit->faults;
     for (std::size_t i = 0; i < block.size; ++i) {
       const std::size_t idx = block.first + i;
@@ -296,7 +284,7 @@ class RequestLoop {
         unit = units + p;
         faults = unit->faults;
       }
-      DecisionKernel<Policy, Estimator>& decisions = unit->decisions;
+      DecisionKernel& decisions = unit->decisions;
       // Deliver pending transfer-completion observations first.
       decisions.tick(now_s);
 
@@ -467,7 +455,7 @@ class RequestLoop {
     result.warmup_requests = warm_count_;
     result.measured_requests = total_requests_ - warm_count_;
     for (std::size_t p = 0; p < n_units_; ++p) {
-      DecisionKernel<Policy, Estimator>& decisions = units_[p].decisions;
+      DecisionKernel& decisions = units_[p].decisions;
       result.final_occupancy_bytes += decisions.store().used();
       result.final_cached_objects += decisions.store().object_count();
       result.estimator_overhead_packets +=
@@ -478,7 +466,7 @@ class RequestLoop {
 
  private:
   /// The per-run setup shared by both constructors.
-  void bind(Unit* units, std::size_t n_units, const util::Rng& rng) {
+  void bind(ProxyUnit* units, std::size_t n_units, const util::Rng& rng) {
     const SimulationConfig& config = *config_;
     units_ = units;
     n_units_ = n_units;
@@ -498,8 +486,7 @@ class RequestLoop {
     }
     // Oracle / purely-active estimators discard observations; skip the
     // per-transfer event traffic for them entirely (the queue stays
-    // empty, so tick() degenerates to one size check per request). For
-    // kernel estimators this is a compile-time constant.
+    // empty, so tick() degenerates to one size check per request).
     estimator_observes_ = units[0].decisions.observes();
     // Fault injection (net/fault.h): compile the plan once per run, for
     // each unit's scope. With an empty plan every unit's `faults` stays
@@ -513,7 +500,7 @@ class RequestLoop {
     const bool faulty = !config.fault.empty();
     const std::uint64_t fault_seed = faulty ? rng.fork("faults").seed() : 0;
     for (std::size_t p = 0; p < n_units; ++p) {
-      Unit& unit = units[p];
+      ProxyUnit& unit = units[p];
       net::FaultSchedule& faults = unit.state->faults;
       if (faulty) {
         faults.compile(config.fault, model.size(), fault_seed,
@@ -549,8 +536,8 @@ class RequestLoop {
   const SimulationConfig* config_;
   RunState* state_;
   // A single cell's unit; coupled loops serve units they do not own.
-  std::optional<Unit> own_unit_;
-  Unit* units_ = nullptr;
+  std::optional<ProxyUnit> own_unit_;
+  ProxyUnit* units_ = nullptr;
   std::size_t n_units_ = 0;
   Couplings couplings_;
   workload::CatalogView view_;
@@ -569,13 +556,11 @@ class RequestLoop {
 /// request block at a time (replayed, regenerated, or re-read from disk;
 /// sources are interchangeable and byte-identical) — so results are
 /// bit-identical at every chunk size.
-template <typename Policy, typename Estimator>
-[[nodiscard]] SimulationResult run_request_loop(
+[[nodiscard]] inline SimulationResult run_request_loop(
     const workload::RequestStream& stream, const SimulationConfig& config,
-    RunState& state, Policy& policy, Estimator& estimator,
-    const util::Rng& rng) {
-  RequestLoop<Policy, Estimator> loop(stream, config, state, policy,
-                                      estimator, rng);
+    RunState& state, cache::CachePolicy& policy,
+    net::BandwidthEstimator& estimator, const util::Rng& rng) {
+  RequestLoop<> loop(stream, config, state, policy, estimator, rng);
   workload::RequestCursor& cursor = state.cursor;
   BlockDraws& draws = state.draws;
   cursor.bind(stream, config.stream_chunk);

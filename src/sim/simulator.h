@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "net/fault.h"
@@ -19,8 +17,6 @@
 #include "workload/request_stream.h"
 
 namespace sc::sim {
-
-class BlockDraws;
 
 /// Client interactivity (extension; the paper's §5 cites measurement
 /// studies showing most sessions terminate early). When enabled, each
@@ -88,15 +84,6 @@ struct SimulationConfig {
   /// per-chunk overhead against SoA scratch locality (and bounds peak
   /// memory for regenerated streams at O(stream_chunk)).
   std::size_t stream_chunk = workload::kDefaultStreamChunk;
-
-  /// Run on the monomorphized engine when the (policy, estimator) pair
-  /// is covered by the built-in dispatch table (sim/arena.h): the
-  /// request loop is compiled per concrete kernel pair, so estimate()
-  /// and the admission path are inlined with no virtual dispatch.
-  /// Results are bit-identical either way; `false` forces the virtual
-  /// fallback path, kept as a regression oracle. Out-of-table
-  /// (user-registered) specs always take the fallback path.
-  bool monomorphize = true;
 };
 
 struct SimulationResult {
@@ -109,9 +96,10 @@ struct SimulationResult {
   std::size_t estimator_overhead_packets = 0;
 };
 
-class SimulationArena;
-
-/// One simulation run over a fixed workload.
+/// One simulation run over a fixed workload, with its components built
+/// fresh through the registry (sim::make_virtual_proxy). Sweeps run
+/// their simulations on per-worker sim::SimulationArena instances
+/// instead, which reuse the components; results are bit-identical.
 class Simulator {
  public:
   /// `workload` must outlive the simulator. `base_bandwidth` is the
@@ -124,76 +112,14 @@ class Simulator {
             const stats::EmpiricalDistribution& ratio_model,
             SimulationConfig config);
 
-  /// Shared-path-model form: run() samples bandwidth from `path_model`
-  /// (which must have one path per catalog object) instead of drawing a
-  /// fresh model. Because the model snapshots its post-draw RNG state,
-  /// results are bit-identical to the unshared constructor when the
-  /// model was built from `Rng(config.seed).fork("paths")` — this is how
-  /// core::SweepRunner shares one model per replication across a whole
-  /// grid (see docs/PERF.md).
-  Simulator(const workload::Workload& workload,
-            std::shared_ptr<const net::PathModel> path_model,
-            SimulationConfig config);
-
-  /// Stream forms: as above, but over any workload::RequestStream —
-  /// replayed, regenerated-on-the-fly, or file-backed. The Workload
-  /// constructors are equivalent to wrapping the workload in a replay
-  /// stream; results are bit-identical across all four constructors.
-  Simulator(workload::RequestStream stream,
-            const stats::EmpiricalDistribution& base_bandwidth,
-            const stats::EmpiricalDistribution& ratio_model,
-            SimulationConfig config);
-  Simulator(workload::RequestStream stream,
-            std::shared_ptr<const net::PathModel> path_model,
-            SimulationConfig config);
-
   /// Execute the full trace and return measured-window metrics.
   [[nodiscard]] SimulationResult run();
 
-  /// As run(), reusing `arena`'s cached monomorphized engine (and its
-  /// event queue / store / heap / estimator storage) when the config's
-  /// (policy, estimator) pair is in the dispatch table. Sweep workers
-  /// pass their per-worker arena so back-to-back simulations allocate
-  /// nothing; a null arena uses a run-local one.
-  [[nodiscard]] SimulationResult run(SimulationArena* arena);
-
-  /// The virtual-path run fed by the caller, block by block: begin(),
-  /// then consume() every block of the simulator's stream in order (from
-  /// any cursor over it) with its draws (sim/block_draws.h, reset for
-  /// this run's path model, session model and seed), then finish().
-  /// Bit-identical to run(); core::SweepRunner drives several
-  /// simulations of one stream in lockstep this way so each block and
-  /// its draws are produced once per group. This always takes the
-  /// virtual fallback path — the monomorphized engines expose the same
-  /// surface through MonoEngineBase.
-  void begin();
-  void consume(const workload::RequestBlock& block, const BlockDraws& draws);
-  [[nodiscard]] SimulationResult finish();
-
-  ~Simulator();
-
  private:
-  /// The virtual-path components of one run (registry-built policy and
-  /// estimator, run state, and the lockstep request loop when begun).
-  struct Fallback;
-
-  [[nodiscard]] std::unique_ptr<Fallback> make_fallback(util::Rng& rng) const;
-  [[nodiscard]] SimulationResult run_fallback();
-
-  Simulator(workload::RequestStream stream,
-            const stats::EmpiricalDistribution* base_bandwidth,
-            const stats::EmpiricalDistribution* ratio_model,
-            std::shared_ptr<const net::PathModel> path_model,
-            SimulationConfig config);
-
   workload::RequestStream stream_;
-  // Engaged only for the unshared constructor (run() builds the model).
-  std::optional<stats::EmpiricalDistribution> base_;
-  std::optional<stats::EmpiricalDistribution> ratio_;
-  std::shared_ptr<const net::PathModel> path_model_;
+  stats::EmpiricalDistribution base_;
+  stats::EmpiricalDistribution ratio_;
   SimulationConfig config_;
-  // The in-progress begin()..finish() run.
-  std::unique_ptr<Fallback> fallback_;
 };
 
 }  // namespace sc::sim

@@ -61,7 +61,7 @@ class ThreadPool {
   /// slot executing the iteration: 0 for the calling thread, 1 ..
   /// thread_count() - 1 for pool workers. Within one call a slot is
   /// driven by exactly one thread at a time, so slot-indexed scratch
-  /// state (e.g. core::SweepRunner's per-worker sim::SimulationArena)
+  /// state (e.g. core::SweepRunner's per-worker arena, cursor and draws)
   /// needs no synchronization.
   void parallel_for_slots(
       std::size_t n,

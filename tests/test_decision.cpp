@@ -27,51 +27,22 @@ std::shared_ptr<const net::PathModel> constant_paths(std::size_t n) {
                                                 rng.fork("paths"));
 }
 
-TEST(ObservationTraits, KernelTypesAreStaticallyClassified) {
-  // Oracle and probe kernels prove at compile time that completion
-  // observations are discarded; passive kernels consume them.
-  static_assert(ObservationTraits<net::OracleKernel>::kStaticallyDiscards);
-  static_assert(ObservationTraits<net::ProbeKernel>::kStaticallyDiscards);
-  static_assert(!ObservationTraits<net::EwmaKernel>::kStaticallyDiscards);
-  static_assert(!ObservationTraits<net::LastSampleKernel>::kStaticallyDiscards);
-}
-
-TEST(ObservationTraits, VirtualInterfaceIsRuntimeQueried) {
-  // Behind the virtual boundary nothing is provable statically: the
-  // primary template must fall back to uses_observations().
-  static_assert(
-      !ObservationTraits<net::BandwidthEstimator>::kStaticallyDiscards);
-  const auto model = constant_paths(4);
-  net::OracleEstimator oracle(*model);
-  net::PassiveEwmaEstimator ewma(4, 0.3, 1e5);
-  net::BandwidthEstimator& as_oracle = oracle;
-  net::BandwidthEstimator& as_ewma = ewma;
-  EXPECT_FALSE(ObservationTraits<net::BandwidthEstimator>::uses(as_oracle));
-  EXPECT_TRUE(ObservationTraits<net::BandwidthEstimator>::uses(as_ewma));
-}
-
-TEST(DecisionKernel, RecordTransferCompilesOutForOracleKernels) {
+TEST(DecisionKernel, ObservesFollowsTheEstimator) {
+  // Oracle estimators discard completion observations, passive ones
+  // consume them; the kernel reports which, so callers can skip the
+  // per-transfer event traffic for the former.
   const auto model = constant_paths(2);
-  net::OracleKernel oracle(*model);
-  cache::PartialStore store(1e9);
-  ObservationQueue events;
-  // Policy type is irrelevant here; reuse the estimator as a stand-in
-  // template parameter is not possible, so use the virtual policy from
-  // the registry with a small catalog.
+  net::OracleEstimator oracle(*model);
+  net::PassiveEwmaEstimator ewma(2, 0.3, 1e5);
   workload::CatalogConfig cat_cfg;
   cat_cfg.num_objects = 2;
   util::Rng cat_rng(1);
   const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
-  net::OracleEstimator virt(*model);
-  const auto policy = core::registry::make_policy("lru", catalog, virt);
-
-  DecisionKernel<cache::CachePolicy, net::OracleKernel> kernel(
-      *policy, oracle, store, events);
-  EXPECT_FALSE(kernel.observes());
-  kernel.record_transfer(0, 123.0, 10.0);
-  kernel.record_transfer(1, 456.0, 20.0);
-  // Statically-discarding kernels schedule nothing at all.
-  EXPECT_TRUE(events.empty());
+  const auto policy = core::registry::make_policy("lru", catalog, oracle);
+  cache::PartialStore store(1e9);
+  ObservationQueue events;
+  EXPECT_FALSE(DecisionKernel(*policy, oracle, store, events).observes());
+  EXPECT_TRUE(DecisionKernel(*policy, ewma, store, events).observes());
 }
 
 TEST(DecisionKernel, TickDeliversObservationsInTimeOrder) {
@@ -85,8 +56,7 @@ TEST(DecisionKernel, TickDeliversObservationsInTimeOrder) {
   const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
   const auto policy = core::registry::make_policy("lru", catalog, ewma);
 
-  DecisionKernel<cache::CachePolicy, net::BandwidthEstimator> kernel(
-      *policy, ewma, store, events);
+  DecisionKernel kernel(*policy, ewma, store, events);
   EXPECT_TRUE(kernel.observes());
 
   // Transfers complete out of schedule order; delivery must follow
@@ -120,8 +90,7 @@ TEST(DecisionKernel, DrainFlushesRegardlessOfClock) {
   const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
   const auto policy = core::registry::make_policy("lru", catalog, ewma);
 
-  DecisionKernel<cache::CachePolicy, net::BandwidthEstimator> kernel(
-      *policy, ewma, store, events);
+  DecisionKernel kernel(*policy, ewma, store, events);
   kernel.record_transfer(0, 111.0, 1e12);  // due in the far future
   kernel.drain();
   EXPECT_TRUE(events.empty());
@@ -140,8 +109,7 @@ TEST(DecisionKernel, AdmitRunsThePolicyAndReportsTheNewPrefix) {
   store.reserve(catalog.size());
   ObservationQueue events;
 
-  DecisionKernel<cache::CachePolicy, net::BandwidthEstimator> kernel(
-      *policy, oracle, store, events);
+  DecisionKernel kernel(*policy, oracle, store, events);
   EXPECT_DOUBLE_EQ(kernel.cached(3), 0.0);
   const double after = kernel.admit(3, 1.0);
   // With surplus capacity an access admits a non-empty prefix, and the

@@ -323,22 +323,6 @@ TEST(FaultSimulation, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a[2].denied_requests, 0.0);
 }
 
-TEST(FaultSimulation, MonoAndFallbackEnginesAgreeUnderFaults) {
-  const auto scenario = core::constant_scenario();
-  for (const char* plan :
-       {kMeasuredOutage, "fault:degrade=14000+8000x0.25",
-        "fault:flap=14000+8000@120", "fault:blackout=14000+8000"}) {
-    core::ExperimentConfig mono = chaos_config();
-    mono.sim.estimator = "ewma";  // exercise the observation path too
-    mono.sim.fault = net::FaultPlan::parse(plan);
-    core::ExperimentConfig fallback = mono;
-    fallback.sim.monomorphize = false;
-    const auto a = core::run_experiment(mono, scenario);
-    const auto b = core::run_experiment(fallback, scenario);
-    expect_field_identical(a, b);
-  }
-}
-
 TEST(FaultSimulation, BlackoutStarvesPassiveEstimatorsOnly) {
   const auto scenario = core::constant_scenario();
   // Blanket blackout: a passive (ewma) estimator never sees a single

@@ -94,7 +94,7 @@ SnapshotState sample_state() {
   state.store = {{1, 300.0}, {4, 700.0}};
   state.policy.freq = {0, 2, 0, 0, 5, 0, 0, 0};
   state.policy.heap = {{1, 0.25}, {4, 0.5}};
-  state.policy.kernel = {3.0, 1.0, 2.0};
+  state.policy.kernel = {3.0};  // the LRU blob: its logical clock
   state.estimator = {10.0, 20.0};
   return state;
 }
@@ -485,7 +485,12 @@ TEST(PolicyState, MalformedSnapshotsAreRejectedNotApplied) {
   bad.heap.push_back({99, 1.0});  // id out of range
   EXPECT_FALSE(target.load_state(bad));
   bad = good;
-  bad.kernel.clear();  // LRU kernel blob must carry clock + recency
+  bad.kernel.clear();  // LRU kernel blob must carry the clock
+  EXPECT_FALSE(target.load_state(bad));
+  bad = good;
+  // The older {clock, recency per object} layout degrades to a cold
+  // start rather than being half-applied.
+  bad.kernel.assign(1 + catalog.size(), 1.0);
   EXPECT_FALSE(target.load_state(bad));
   // After every rejection the target still loads the good state.
   EXPECT_TRUE(target.load_state(good));
