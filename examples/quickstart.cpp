@@ -81,13 +81,11 @@ int run_main(int argc, char** argv) {
     // policy decide what to keep. Passive measurement: the estimator
     // learns the origin transfer's throughput when it completes.
     kernel.tick(req.time_s);
-    const sim::ServiceOutcome outcome =
-        sim::deliver(obj, bw, kernel.cached(req.object));
-    if (outcome.bytes_from_origin > 0) {
-      kernel.record_transfer(obj.path, outcome.origin_throughput,
-                             req.time_s + outcome.origin_transfer_s);
-    }
-    kernel.admit(req.object, req.time_s);
+    const double cached = kernel.cached(req.object);
+    const sim::ServiceOutcome outcome = sim::deliver(obj, bw, cached);
+    kernel.settle(req.object, obj.path, outcome, req.time_s,
+                  req.time_s + outcome.origin_transfer_s,
+                  /*can_fill=*/true, cached);
 
     delay_acc += outcome.delay_s;
     quality_acc += outcome.quality;

@@ -345,11 +345,9 @@ std::vector<AveragedMetrics> SweepRunner::run(
                                   ? fixed->catalog().size()
                                   : base_.workload.catalog.num_objects;
   const auto build_model = [&](std::size_t r) {
-    // Exactly the simulator's own derivation: Rng(seed).fork("paths").
-    util::Rng rng(path_seeds[r]);
-    path_models[r] = std::make_shared<const net::PathModel>(
-        n_paths, scenario_.base, scenario_.ratio, path_config,
-        rng.fork("paths"));
+    path_models[r] = net::make_path_model(n_paths, scenario_.base,
+                                          scenario_.ratio, path_config,
+                                          path_seeds[r]);
   };
 
   // Workload generation and model construction are independent; one task
@@ -444,10 +442,8 @@ std::vector<AveragedMetrics> SweepRunner::run(
   // simulation draws its own.
   const auto draw_model = [&](std::size_t r) {
     if (share_models) return path_models[r];
-    util::Rng rng(path_seeds[r]);
-    return std::make_shared<const net::PathModel>(
-        n_paths, scenario_.base, scenario_.ratio, path_config,
-        rng.fork("paths"));
+    return net::make_path_model(n_paths, scenario_.base, scenario_.ratio,
+                                path_config, path_seeds[r]);
   };
 
   std::vector<RunOutcome> outcomes(n_sims);

@@ -267,8 +267,8 @@ FleetLoop::FleetLoop(const workload::RequestStream& stream,
   // any stream.
   util::Rng rng(seed);
   if (path_model == nullptr) {
-    path_model = std::make_shared<const net::PathModel>(
-        n_objects, *base, *ratio, config.path_config, rng.fork("paths"));
+    path_model = net::make_path_model(n_objects, *base, *ratio,
+                                      config.path_config, seed);
   }
   st.run.model = std::move(path_model);
 
@@ -281,8 +281,8 @@ FleetLoop::FleetLoop(const workload::RequestStream& stream,
   st.proxies.resize(n);
   st.units.reserve(n);
   for (std::size_t p = 0; p < n; ++p) {
-    st.components.push_back(
-        sim::make_virtual_proxy(config, catalog, *st.run.model, rng, p));
+    st.components.push_back(sim::make_virtual_proxy(
+        config.policy, config.estimator, catalog, *st.run.model, rng, p));
     st.proxies[p].reset(n_objects, per_proxy_capacity,
                         config.patching.enabled);
     st.units.emplace_back(*st.components[p].policy,

@@ -42,6 +42,14 @@ PathModel::PathModel(std::size_t n_paths,
   ar1_sigma_ = ratio_.cov();
 }
 
+std::shared_ptr<const PathModel> make_path_model(
+    std::size_t n_paths, const stats::EmpiricalDistribution& base,
+    const stats::EmpiricalDistribution& ratio, const PathModelConfig& config,
+    std::uint64_t seed) {
+  return std::make_shared<const PathModel>(n_paths, base, ratio, config,
+                                           util::Rng(seed).fork("paths"));
+}
+
 namespace {
 const PathModel& require_model(const std::shared_ptr<const PathModel>& m) {
   if (m == nullptr) throw std::invalid_argument("PathSampler: null model");

@@ -124,6 +124,15 @@ class PathModel {
   util::Rng sampler_rng_;
 };
 
+/// The path model of the run seeded `seed`: `n_paths` means drawn from
+/// the run's tag-keyed "paths" stream, Rng(seed).fork("paths"). The one
+/// derivation every consumer shares (simulator, arena, fleet, sweep and
+/// the daemon's origin), so equal (inputs, seed) give equal models.
+[[nodiscard]] std::shared_ptr<const PathModel> make_path_model(
+    std::size_t n_paths, const stats::EmpiricalDistribution& base,
+    const stats::EmpiricalDistribution& ratio, const PathModelConfig& config,
+    std::uint64_t seed);
+
 /// Per-simulation mutable sampling state over a shared immutable model:
 /// the variability RNG stream plus (kTimeSeries only) the AR(1) chains.
 class PathSampler {

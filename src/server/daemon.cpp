@@ -209,7 +209,8 @@ void ProxyDaemon::handle_connection(int fd) {
   std::vector<std::uint8_t> body;
   std::vector<std::uint8_t> reply;
   // Per-connection session state: a contiguous run of GETs for one
-  // object is one streaming session (engine.h's offset == 0 contract).
+  // object is one streaming session. A GET at offset 0 opens a new one
+  // (engine.h's offset == 0 contract), as does a GET for another object.
   bool streaming = false;
   std::uint64_t session_object = 0;
   std::uint64_t high_water = 0;
@@ -250,7 +251,8 @@ void ProxyDaemon::handle_connection(int fd) {
         if (res.status != wire::kOk) {
           reply.push_back(res.status);
         } else {
-          if (streaming && session_object != req.object) {
+          if (streaming &&
+              (session_object != req.object || req.offset == 0)) {
             engine_.end_session(session_object, high_water);
             high_water = 0;
           }

@@ -7,9 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/registry.h"
 #include "server/wire.h"
-#include "sim/delivery.h"
 #include "util/rng.h"
 
 namespace sc::server {
@@ -26,33 +24,31 @@ workload::Catalog ServiceEngine::make_catalog(std::size_t objects,
 ServiceEngine::ServiceEngine(ServiceConfig config)
     : config_(std::move(config)),
       catalog_(make_catalog(config_.objects, config_.seed)),
-      origin_(catalog_.size(), config_.origin, config_.seed),
-      estimator_(core::registry::make_estimator(
-          config_.estimator, origin_.model(),
-          util::Rng(config_.seed).fork("estimator"))),
-      policy_(core::registry::make_policy(config_.policy, catalog_,
-                                          *estimator_)),
-      store_(config_.cache_capacity_bytes > 0
-                 ? config_.cache_capacity_bytes
-                 : config_.cache_fraction * catalog_.total_bytes()),
+      origin_(sim::make_scenario_model(config_.origin.scenario,
+                                       catalog_.size(), config_.seed),
+              config_.origin),
+      components_(sim::make_virtual_proxy(config_.policy, config_.estimator,
+                                          catalog_, origin_.model(),
+                                          util::Rng(config_.seed), 0)),
+      unit_(*components_.policy, *components_.estimator, state_),
       start_(std::chrono::steady_clock::now()),
       persistence_(config_.persist) {
-  store_.reserve(catalog_.size());
-  kernel_.emplace(*policy_, *estimator_, store_, events_);
-  // Wall-clock estimator blackouts: the kernel drops observations due
-  // inside a blackout window, exactly as in the simulator. The empty
-  // schedule is never attached, keeping the fault-free tick path
-  // untouched.
-  if (!origin_.faults().empty()) {
-    kernel_->set_faults(&origin_.faults());
-  }
+  state_.reset(catalog_.size(),
+               config_.cache_capacity_bytes > 0
+                   ? config_.cache_capacity_bytes
+                   : config_.cache_fraction * catalog_.total_bytes(),
+               /*patching=*/false);
+  // The fault plan on the wall clock, compiled as the simulator compiles
+  // it for a standalone decisions.
+  unit_.bind_faults(net::FaultPlan::parse(config_.origin.fault),
+                    catalog_.size(), util::Rng(config_.seed));
   if (persistence_.enabled()) {
     try_recover();
     // Listen for store mutations only from here on: recovery's own
     // set_cached calls are not journal-worthy (the snapshot already
     // holds them), and with persistence disabled the listener is never
     // attached at all — the serving path stays inert.
-    store_.set_change_log(&changes_);
+    unit_.decisions.store().set_change_log(&changes_);
     // Anchor the journal: cold or warm, the next crash recovers from
     // this image plus whatever the journal accumulates after it.
     flush_snapshot();
@@ -69,38 +65,38 @@ void ServiceEngine::try_recover() {
   // The snapshot must describe THIS configuration; a daemon restarted
   // with different parameters starts cold rather than importing state
   // that means something else.
+  sim::DecisionKernel& decisions = unit_.decisions;
   if (state->objects != catalog_.size() || state->seed != config_.seed ||
       state->policy_spec != config_.policy ||
       state->estimator_spec != config_.estimator ||
-      std::fabs(state->capacity_bytes - store_.capacity()) > 0.5) {
+      std::fabs(state->capacity_bytes - decisions.store().capacity()) > 0.5) {
     recovery_detail_ = "snapshot config mismatch; cold start";
     return;
   }
 
-  const auto cold_reset = [this](const std::string& why) {
-    store_.clear();
-    policy_->reset();
+  const auto cold_reset = [this, &decisions](const std::string& why) {
+    decisions.store().clear();
+    decisions.policy().reset();
     warm_start_ = false;
     recovery_detail_ = why + "; cold start";
   };
 
   try {
     for (const auto& [id, bytes] : state->store) {
-      store_.set_cached(id, bytes);
+      decisions.store().set_cached(id, bytes);
     }
   } catch (const std::exception& e) {
     cold_reset(std::string("recovered store rejected (") + e.what() + ")");
     return;
   }
-  if (!policy_->load_state(state->policy)) {
+  if (!decisions.policy().load_state(state->policy)) {
     cold_reset("recovered policy state rejected");
     return;
   }
   // Full integrity audit before trusting anything (the daemon
-  // additionally refuses to accept connections on a failed audit).
-  const sim::AuditReport report =
-      sim::StateAuditor::audit(store_, policy_.get(), &events_,
-                               catalog_.size());
+  // additionally refuses to accept connections on a failed audit). No
+  // other thread exists yet, so taking the lock here is free.
+  const sim::AuditReport report = audit();
   if (!report.ok()) {
     cold_reset("recovered state failed audit: " + report.to_string());
     return;
@@ -108,7 +104,7 @@ void ServiceEngine::try_recover() {
   // Estimator last: by now everything else is known-good, so a rejected
   // estimator blob costs the whole warm start but never leaves a
   // half-loaded mix.
-  if (!estimator_->load_state(state->estimator)) {
+  if (!decisions.estimator().load_state(state->estimator)) {
     cold_reset("recovered estimator state rejected");
     return;
   }
@@ -117,6 +113,7 @@ void ServiceEngine::try_recover() {
 }
 
 void ServiceEngine::journal_changes() {
+  const sim::DecisionKernel& decisions = unit_.decisions;
   // Deduplicate last-writer-wins: records are absolute, so only the
   // final state of each touched object matters. An admission touches a
   // handful of objects, so the quadratic scan never sees a large n.
@@ -132,10 +129,10 @@ void ServiceEngine::journal_changes() {
     const workload::ObjectId id = changes_[i].id;
     persist::JournalRecord r;
     r.id = id;
-    r.bytes = store_.cached(id);
-    r.freq = policy_->frequency_of(id);
+    r.bytes = decisions.cached(id);
+    r.freq = decisions.policy().frequency_of(id);
     double key = 0.0;
-    r.in_heap = policy_->index_key(id, &key);
+    r.in_heap = decisions.policy().index_key(id, &key);
     r.key = key;
     persistence_.append(r);
   }
@@ -144,8 +141,9 @@ void ServiceEngine::journal_changes() {
 
 sim::AuditReport ServiceEngine::audit() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return sim::StateAuditor::audit(store_, policy_.get(), &events_,
-                                  catalog_.size());
+  return sim::StateAuditor::audit(unit_.decisions.store(),
+                                  &unit_.decisions.policy(),
+                                  &unit_.state->events, catalog_.size());
 }
 
 void ServiceEngine::flush_snapshot() {
@@ -156,15 +154,16 @@ void ServiceEngine::flush_snapshot() {
   persist::SnapshotState state;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    const sim::DecisionKernel& decisions = unit_.decisions;
     state.objects = catalog_.size();
     state.seed = config_.seed;
     state.policy_spec = config_.policy;
     state.estimator_spec = config_.estimator;
-    state.capacity_bytes = store_.capacity();
+    state.capacity_bytes = decisions.store().capacity();
     state.engine_now_s = now_s();
-    state.store = store_.contents();
-    state.policy = policy_->save_state();
-    state.estimator = estimator_->save_state();
+    state.store = decisions.store().contents();
+    state.policy = decisions.policy().save_state();
+    state.estimator = decisions.estimator().save_state();
     // Rotate the journal while still holding mu_: every mutation after
     // this instant journals into the file paired with this snapshot.
     persistence_.begin_snapshot();
@@ -189,7 +188,7 @@ std::uint64_t ServiceEngine::object_size(workload::ObjectId id) const {
 
 std::uint64_t ServiceEngine::cached_bytes(workload::ObjectId id) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::uint64_t>(std::floor(store_.cached(id)));
+  return static_cast<std::uint64_t>(std::floor(unit_.decisions.cached(id)));
 }
 
 double ServiceEngine::now_s() const {
@@ -241,17 +240,24 @@ ServeResult ServiceEngine::serve_range_once(std::uint64_t object,
   const double now = now_s();
   const std::lock_guard<std::mutex> lock(mu_);
   if (is_retry) ++origin_retries_;
+  sim::DecisionKernel& decisions = unit_.decisions;
   // Deliver estimator observations that came due since the last entry.
-  kernel_->tick(now);
+  decisions.tick(now);
 
-  const double cached_prefix = kernel_->cached(object);
+  const double cached_prefix = decisions.cached(object);
   const double cached_in_range =
       std::clamp(std::floor(cached_prefix) - static_cast<double>(offset), 0.0,
                  static_cast<double>(length));
   res.cache_bytes = static_cast<std::uint64_t>(cached_in_range);
   res.origin_bytes = length - res.cache_bytes;
 
-  const bool origin_up = origin_.available(obj.path, now);
+  // The request loop's fault test: a degrade window scales the path's
+  // bandwidth, and scale 0 (an outage or a down flap half-period) cuts
+  // the origin.
+  const double fault_scale =
+      unit_.faults != nullptr ? unit_.faults->bandwidth_scale(obj.path, now)
+                              : 1.0;
+  const bool origin_up = fault_scale > 0.0;
   if (res.origin_bytes > 0 && !origin_up) {
     // The range needs upstream bytes the path cannot deliver. Typed
     // transient failure — no outcome is recorded (nothing was served),
@@ -261,14 +267,14 @@ ServeResult ServiceEngine::serve_range_once(std::uint64_t object,
     return res;
   }
 
+  sim::ServiceOutcome outcome;  // a zero-length probe ships nothing
   if (length > 0) {
     // The §2.2 delivery model over the requested range: the range plays
     // out for length / r_i seconds, its "cached prefix" is the part the
     // store covers, the rest streams at the path's instantaneous
-    // bandwidth (simulated units, as everywhere else). Degrade windows
-    // scale `bw` inside origin_.bandwidth(); outages were handled
-    // above, so bw > 0 whenever origin bytes are needed.
-    const double bw = origin_.bandwidth(obj.path, now);
+    // bandwidth (simulated units, as everywhere else). Outages were
+    // handled above, so bw > 0 whenever origin bytes are needed.
+    const double bw = origin_.bandwidth(obj.path, now) * fault_scale;
     if (res.origin_bytes > 0) {
       const double wall_s =
           origin_.wall_delay_s(static_cast<double>(res.origin_bytes), bw);
@@ -285,40 +291,30 @@ ServeResult ServiceEngine::serve_range_once(std::uint64_t object,
     // A fully-cached range during an outage has bw == 0; deliver()
     // requires bw > 0, so the cache-only form covers it (quality 1,
     // immediate — the prefix covers the whole range).
-    const sim::ServiceOutcome outcome =
-        bw > 0 ? sim::deliver(static_cast<double>(length) / obj.bitrate,
-                              obj.bitrate, static_cast<double>(length), bw,
-                              static_cast<double>(res.cache_bytes))
-               : sim::deliver_cache_only(static_cast<double>(length),
-                                         static_cast<double>(res.cache_bytes));
+    outcome = bw > 0 ? sim::deliver(static_cast<double>(length) / obj.bitrate,
+                                    obj.bitrate, static_cast<double>(length),
+                                    bw, static_cast<double>(res.cache_bytes))
+                     : sim::deliver_cache_only(
+                           static_cast<double>(length),
+                           static_cast<double>(res.cache_bytes));
     res.delay_s = outcome.delay_s;
     metrics_.record(outcome, obj.value);
     if (!origin_up) ++degraded_hits_;  // fully-cached kOk during an outage
-    if (res.origin_bytes > 0) {
-      // Passive estimators learn the transfer's throughput when it
-      // completes — at a *wall-clock* time here, drained by tick().
-      if (kernel_->observes()) {
-        kernel_->record_transfer(obj.path, outcome.origin_throughput,
-                                 now + res.origin_wall_s);
-      }
-    }
   }
 
-  // offset == 0 opens a session for this object: that is the "access"
-  // the paper's policies count. Continuation chunks (offset > 0) serve
-  // bytes but do not re-run admission, so a session streamed as N
-  // ranges updates frequencies and utilities once, like one simulated
+  // The simulated loop's post-service half; the completion observation
+  // is due at a *wall-clock* time, drained by tick(). offset == 0 opens
+  // a session: the "access" the paper's policies count, so a session
+  // streamed as N ranges runs admission once, like one simulated
   // request. While the origin is down no admission runs — it could not
   // back the fill traffic a grown prefix implies.
-  if (offset == 0 && origin_up) {
-    const double after = kernel_->admit(object, now);
-    if (after > cached_prefix) {
-      metrics_.record_fill(after - cached_prefix);
-    }
-    // Non-empty only when the persistence listener is attached: with
-    // persistence disabled this is a single empty-vector branch.
-    if (!changes_.empty()) journal_changes();
-  }
+  const double fill =
+      decisions.settle(object, obj.path, outcome, now, now + res.origin_wall_s,
+                  offset == 0 && origin_up, cached_prefix);
+  if (fill > 0.0) metrics_.record_fill(fill);
+  // Non-empty only when persistence is on and the decision touched
+  // the store.
+  if (!changes_.empty()) journal_changes();
   res.status = wire::kOk;
   return res;
 }
@@ -339,7 +335,7 @@ void ServiceEngine::end_session(workload::ObjectId object,
 void ServiceEngine::tick() {
   const double now = now_s();
   const std::lock_guard<std::mutex> lock(mu_);
-  kernel_->tick(now);
+  unit_.decisions.tick(now);
 }
 
 ServiceStats ServiceEngine::snapshot() const {
@@ -349,12 +345,13 @@ ServiceStats ServiceEngine::snapshot() const {
   s.hit_ratio = metrics_.hit_ratio();
   s.byte_hit_ratio = metrics_.traffic_reduction_ratio();
   s.mean_delay_s = metrics_.average_delay_s();
-  s.occupancy_bytes = store_.used();
-  s.cached_objects = store_.object_count();
-  s.capacity_bytes = store_.capacity();
+  const sim::DecisionKernel& decisions = unit_.decisions;
+  s.occupancy_bytes = decisions.store().used();
+  s.cached_objects = decisions.store().object_count();
+  s.capacity_bytes = decisions.store().capacity();
   s.sessions = sessions_;
   s.mean_viewed_fraction = metrics_.average_viewed_fraction();
-  s.estimator_overhead_packets = estimator_->overhead_packets();
+  s.estimator_overhead_packets = decisions.estimator().overhead_packets();
   s.origin_down = origin_down_;
   s.origin_retries = origin_retries_;
   s.origin_timeouts = origin_timeouts_;

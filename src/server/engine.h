@@ -1,16 +1,20 @@
 // The live serving engine: the paper's decision kernel under a wall
 // clock and a lock.
 //
-// ServiceEngine owns one instance of everything a cache node needs —
-// catalog, partial-prefix store, registry-built policy and bandwidth
-// estimator, deferred-observation queue, simulated origin, metrics —
+// ServiceEngine serves through the simulator's own proxy unit: one
+// sim::ProxyState (partial-prefix store, deferred-observation queue,
+// fault schedule) and one sim::ProxyUnit over the policy and estimator
+// that sim::make_virtual_proxy builds — the construction path of the
+// simulator, the arena and the fleet. Around the unit it keeps the
+// catalog, the simulated origin, the metrics and the persistence layer,
 // and exposes the daemon-facing operations:
 //
 //   serve_range()  answer GET [off, off + len) of an object: split the
 //                  range into cached-prefix and origin bytes, run the
-//                  §2.2 delivery math for the range, feed the
-//                  estimator's completion observation, and (on a
-//                  session-opening request, offset == 0) run the
+//                  §2.2 delivery math for the range, then settle it
+//                  through DecisionKernel::settle like the simulated
+//                  loop — the estimator's completion observation, and
+//                  (on a session-opening request, offset == 0) the
 //                  policy's admission/eviction decision.
 //   end_session()  map a closed connection's per-object streaming run
 //                  onto the session metrics (viewed fraction,
@@ -31,18 +35,13 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
-#include "cache/policy.h"
-#include "cache/store.h"
-#include "net/estimator.h"
 #include "server/origin.h"
 #include "server/persist.h"
-#include "sim/decision.h"
 #include "sim/metrics.h"
+#include "sim/run_loop.h"
 #include "sim/state_auditor.h"
 #include "workload/object_catalog.h"
 
@@ -199,8 +198,6 @@ class ServiceEngine {
   void maybe_snapshot();
 
  private:
-  using Kernel = sim::DecisionKernel;
-
   /// One serve attempt (no retries; `is_retry` only tags the counter).
   [[nodiscard]] ServeResult serve_range_once(std::uint64_t object,
                                              std::uint64_t offset,
@@ -220,11 +217,12 @@ class ServiceEngine {
   ServiceConfig config_;
   workload::Catalog catalog_;
   SimulatedOrigin origin_;
-  std::unique_ptr<net::BandwidthEstimator> estimator_;
-  std::unique_ptr<cache::CachePolicy> policy_;
-  cache::PartialStore store_;
-  sim::ObservationQueue events_;
-  std::optional<Kernel> kernel_;
+  /// The unit's registry-built policy and estimator.
+  sim::VirtualProxy components_;
+  sim::ProxyState state_;
+  /// Every decision, and every read of decision state (STAT, STATS,
+  /// AUDIT, persistence), goes through this unit.
+  sim::ProxyUnit unit_;
   sim::MetricsCollector metrics_;
   std::size_t sessions_ = 0;
   // Fault/recovery counters, guarded by mu_ like every other counter.
@@ -234,7 +232,7 @@ class ServiceEngine {
   std::size_t degraded_hits_ = 0;
   std::chrono::steady_clock::time_point start_;
   persist::Persistence persistence_;
-  /// Store change listener buffer; attached to store_ only when
+  /// Store change listener buffer; attached to the store only when
   /// persistence is enabled, drained by journal_changes(). Guarded by
   /// mu_ (the store only mutates under it).
   cache::StoreChangeLog changes_;

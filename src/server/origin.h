@@ -14,13 +14,18 @@
 // times. time_scale defaults to 0 (latency-only): simulated transfer
 // times are minutes long, and replaying them 1:1 would make every
 // bench run take hours.
+//
+// The origin holds no fault state. The engine compiles the fault plan
+// into its proxy unit's schedule (sim::ProxyState::faults), the same
+// one the simulator's request loop compiles, and scales or cuts the
+// bandwidth drawn here itself.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
-#include "net/fault.h"
 #include "net/path_process.h"
 
 namespace sc::server {
@@ -35,49 +40,33 @@ struct OriginConfig {
   /// keeps fetches latency-only.
   double time_scale = 0.0;
   /// Deterministic fault plan on the daemon's wall clock (net/fault.h;
-  /// the same spec grammar the simulator sweeps). Outage/flap windows
-  /// zero the sampled bandwidth, degrade windows scale it, blackout
-  /// windows drop estimator observations. "" / "none" injects nothing.
+  /// the same spec grammar the simulator sweeps). The engine compiles it
+  /// into its proxy unit's fault schedule exactly as the request loop
+  /// does: outage/flap windows cut the origin, degrade windows scale the
+  /// sampled bandwidth, blackout windows drop estimator observations.
+  /// "" / "none" injects nothing.
   std::string fault;
 };
 
 class SimulatedOrigin {
  public:
-  /// Build the path model from `config.scenario` with one path per
-  /// catalog object (the paper's per-object origin path), seeded the
-  /// same way the simulator seeds its paths: Rng(seed).fork("paths").
-  SimulatedOrigin(std::size_t n_paths, const OriginConfig& config,
-                  std::uint64_t seed);
+  /// An origin over `model`, one path per catalog object (the paper's
+  /// per-object origin path). The engine derives it from
+  /// `config.scenario` as a simulation would (sim::make_scenario_model).
+  SimulatedOrigin(std::shared_ptr<const net::PathModel> model,
+                  const OriginConfig& config)
+      : config_(config), model_(std::move(model)), sampler_(model_) {}
 
   [[nodiscard]] const net::PathModel& model() const noexcept {
     return *model_;
   }
-  [[nodiscard]] const OriginConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Instantaneous bandwidth of `path` at engine time `now_s`
-  /// (bytes/second, simulated units), scaled by any active fault
-  /// window — 0 while the origin is unreachable. Mutates sampler state
-  /// — callers serialize (the engine invokes this under its lock).
-  /// The sampler draw happens even when the path is down so the
-  /// post-recovery bandwidth stream is the identical sequence a
-  /// fault-free run would have produced.
+  /// (bytes/second, simulated units), before any fault scaling — the
+  /// engine applies its unit's fault schedule. Mutates sampler state:
+  /// callers serialize (the engine invokes this under its lock).
   [[nodiscard]] double bandwidth(net::PathId path, double now_s) {
-    const double bw = sampler_.sample_bandwidth(path, now_s);
-    return faults_.empty() ? bw : bw * faults_.bandwidth_scale(path, now_s);
-  }
-
-  /// True when `path` can reach this origin at `now_s` (always true
-  /// without a fault plan).
-  [[nodiscard]] bool available(net::PathId path, double now_s) const {
-    return faults_.empty() || !faults_.origin_down(path, now_s);
-  }
-
-  /// The compiled fault schedule (empty without a plan). Stable address
-  /// for the engine's kernel hookup (blackout filtering).
-  [[nodiscard]] const net::FaultSchedule& faults() const noexcept {
-    return faults_;
+    return sampler_.sample_bandwidth(path, now_s);
   }
 
   /// Wall-clock stall for fetching `bytes` at `bandwidth` from this
@@ -91,7 +80,6 @@ class SimulatedOrigin {
   OriginConfig config_;
   std::shared_ptr<const net::PathModel> model_;
   net::PathSampler sampler_;
-  net::FaultSchedule faults_;
 };
 
 }  // namespace sc::server

@@ -11,16 +11,19 @@ void SimulationArena::Engine::begin(const RunContext& context) {
   util::Rng rng(context.seed);
   std::shared_ptr<const net::PathModel> model = context.model;
   if (model == nullptr) {
-    model = std::make_shared<const net::PathModel>(
-        catalog.size(), *context.base, *context.ratio, config.path_config,
-        rng.fork("paths"));
+    model = net::make_path_model(catalog.size(), *context.base,
+                                 *context.ratio, config.path_config,
+                                 context.seed);
   }
   // The estimator fork is the one make_virtual_proxy seeds proxy 0 from.
   const bool rebound =
       proxy_.policy != nullptr &&
       proxy_.estimator->rebind(*model, rng.fork("estimator")) &&
       proxy_.policy->rebind(catalog, *proxy_.estimator);
-  if (!rebound) proxy_ = make_virtual_proxy(config, catalog, *model, rng, 0);
+  if (!rebound) {
+    proxy_ = make_virtual_proxy(config.policy, config.estimator, catalog,
+                                *model, rng, 0);
+  }
   state_.reset(catalog, std::move(model), config.cache_capacity_bytes,
                config.patching.enabled);
   loop_.emplace(*context.stream, config, state_, *proxy_.policy,

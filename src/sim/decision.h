@@ -19,6 +19,9 @@
 // loop — the golden-CSV harness (tests/golden/) pins the simulator's
 // output byte-identically across it, and tests/test_decision.cpp covers
 // the kernel in isolation under an arbitrary (non-simulated) clock.
+// Both clocks run the same two steps per request, tick() before serving
+// and settle() after it; tests/test_daemon_oracle.cpp pins that the
+// daemon and the simulator take identical decisions.
 #pragma once
 
 #include <limits>
@@ -28,6 +31,7 @@
 #include "net/estimator.h"
 #include "net/fault.h"
 #include "net/path_process.h"
+#include "sim/delivery.h"
 #include "sim/event_queue.h"
 #include "workload/object_catalog.h"
 
@@ -54,7 +58,13 @@ class DecisionKernel {
         observes_(estimator.uses_observations()) {}
 
   [[nodiscard]] cache::CachePolicy& policy() noexcept { return *policy_; }
+  [[nodiscard]] const cache::CachePolicy& policy() const noexcept {
+    return *policy_;
+  }
   [[nodiscard]] net::BandwidthEstimator& estimator() noexcept {
+    return *estimator_;
+  }
+  [[nodiscard]] const net::BandwidthEstimator& estimator() const noexcept {
     return *estimator_;
   }
   [[nodiscard]] cache::PartialStore& store() noexcept { return *store_; }
@@ -79,11 +89,6 @@ class DecisionKernel {
   /// keeps an empty fault plan inert.
   void set_faults(const net::FaultSchedule* faults) noexcept {
     faults_ = faults;
-  }
-
-  /// Current bandwidth estimate for `path` (bytes/second).
-  [[nodiscard]] double estimate(net::PathId path, double now_s) {
-    return estimator_->estimate(path, now_s);
   }
 
   /// Deliver every deferred completion observation due at or before
@@ -128,6 +133,23 @@ class DecisionKernel {
   double admit(workload::ObjectId id, double now_s) {
     policy_->on_access(id, now_s, *store_);
     return store_->cached(id);
+  }
+
+  /// The post-service half of a request for `id` on `path` served at
+  /// `now_s` with `outcome` from a `cached_before`-byte prefix, where
+  /// the simulated loop and the daemon both end every request: defer
+  /// the completion observation to `done_s` when the estimator observes
+  /// and origin bytes flowed, then admit when `can_fill` (the origin can
+  /// back fill traffic). Returns the prefix growth (fill bytes, or 0).
+  double settle(workload::ObjectId id, net::PathId path,
+                const ServiceOutcome& outcome, double now_s, double done_s,
+                bool can_fill, double cached_before) {
+    if (observes_ && outcome.bytes_from_origin > 0) {
+      record_transfer(path, outcome.origin_throughput, done_s);
+    }
+    if (!can_fill) return 0.0;
+    const double cached_after = admit(id, now_s);
+    return cached_after > cached_before ? cached_after - cached_before : 0.0;
   }
 
  private:

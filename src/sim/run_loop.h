@@ -35,8 +35,8 @@
 // clock-agnostic DecisionKernel; this file contributes the *simulated
 // delivery* half (trace iteration, the §2.2 delivery model, session
 // dynamics, patching, metrics) and drives the kernel from the simulated
-// clock. The live proxy daemon (src/server/) drives the identical
-// kernel from the wall clock.
+// clock. The live proxy daemon (src/server/) drives one ProxyUnit of its
+// own, built and fault-bound exactly as here, from the wall clock.
 //
 // Because every run executes the identical expressions in the identical
 // order over the identical RNG streams, results do not depend on who
@@ -81,8 +81,8 @@ struct InFlightStream {
 };
 
 /// The reusable mutable state of one proxy unit. reset() restores it to
-/// its freshly-constructed state, reusing the storage; the RequestLoop
-/// serving the unit compiles its fault schedule.
+/// its freshly-constructed state, reusing the storage; the unit's
+/// bind_faults() compiles its fault schedule.
 struct ProxyState {
   ObservationQueue events;
   cache::PartialStore store{0.0};
@@ -133,14 +133,31 @@ struct RunState {
   }
 };
 
-/// One proxy unit as the request loop serves it: the decision kernel over
-/// the unit's components, its state, and its fault schedule (bound by the
-/// loop; null with an empty fault plan).
+/// One proxy unit as the request loop (or the daemon) serves it: the
+/// decision kernel over the unit's components, its state, and its fault
+/// schedule (null with an empty fault plan).
 struct ProxyUnit {
   ProxyUnit(cache::CachePolicy& policy, net::BandwidthEstimator& estimator,
             ProxyState& state)
       : decisions(policy, estimator, state.store, state.events),
         state(&state) {}
+
+  /// Compile `plan` over `n_paths` paths into the state's schedule for
+  /// `scope`, seeded from the run's tag-keyed "faults" fork (so it is
+  /// identical across engines, units, thread counts and the daemon),
+  /// and attach it; an empty plan detaches it, keeping every hook inert.
+  void bind_faults(const net::FaultPlan& plan, std::size_t n_paths,
+                   const util::Rng& run_rng, net::FaultScope scope = {}) {
+    if (plan.empty()) {
+      state->faults.clear();
+      faults = nullptr;
+    } else {
+      state->faults.compile(plan, n_paths, run_rng.fork("faults").seed(),
+                            scope);
+      faults = &state->faults;
+    }
+    decisions.set_faults(faults);
+  }
 
   DecisionKernel decisions;
   ProxyState* state;
@@ -153,16 +170,25 @@ struct VirtualProxy {
   std::unique_ptr<cache::CachePolicy> policy;
 };
 
-/// Build proxy `proxy`'s components for `config` through the registry:
-/// the estimator seeded from `rng`'s "estimator" fork ("estimator#<proxy>"
-/// after the first, so a fleet's proxy 0 is seeded as a single cell),
-/// then the policy over it. The one construction path of sim::Simulator,
-/// sim::SimulationArena and every fleet::FleetLoop proxy.
-[[nodiscard]] VirtualProxy make_virtual_proxy(const SimulationConfig& config,
+/// Build proxy `proxy`'s components from the registry specs `policy`
+/// and `estimator`: the estimator seeded from `rng`'s "estimator" fork
+/// ("estimator#<proxy>" after the first, so a fleet's proxy 0 is seeded
+/// as a single cell), then the policy over it. The one construction path
+/// of sim::Simulator, sim::SimulationArena, every fleet::FleetLoop proxy
+/// and the daemon's server::ServiceEngine.
+[[nodiscard]] VirtualProxy make_virtual_proxy(const std::string& policy,
+                                              const std::string& estimator,
                                               const workload::Catalog& catalog,
                                               const net::PathModel& model,
                                               const util::Rng& rng,
                                               std::size_t proxy);
+
+/// The path model of the registry scenario spec `scenario` ("constant",
+/// "measured", ...) over `n_paths` paths for run seed `seed`: the
+/// scenario's base and ratio models and variation mode through
+/// net::make_path_model. The daemon's origin samples these paths.
+[[nodiscard]] std::shared_ptr<const net::PathModel> make_scenario_model(
+    const std::string& scenario, std::size_t n_paths, std::uint64_t seed);
 
 /// The couplings of a single cell: none. One standalone unit (unscoped
 /// fault windows only) serves every request and every hook is empty.
@@ -265,7 +291,6 @@ class RequestLoop {
     }
     const bool constant_bw = constant_bw_;
     const bool interactive = interactive_;
-    const bool estimator_observes = estimator_observes_;
     const std::size_t warm_count = warm_count_;
     MetricsCollector& metrics = metrics_;
     Couplings& couplings = couplings_;
@@ -418,27 +443,19 @@ class RequestLoop {
       }
 
       // Passive estimators learn this transfer's throughput at
-      // completion.
-      if (estimator_observes && outcome.bytes_from_origin > 0) {
-        decisions.record_transfer(view.path[id], outcome.origin_throughput,
-                                  now_s + outcome.origin_transfer_s);
-      }
-
-      // Replacement decisions happen after the request is served.
+      // completion; the replacement decision follows the service.
       // During a full outage the origin cannot supply fill bytes, so
       // the whole decision (frequency update, admission, eviction) is
       // skipped: the cache holds its state until the path recovers.
       // This is also what keeps occupancy <= budget under chaos — no
       // admission can be granted that the origin cannot back.
-      if (fault_scale > 0.0) {
-        const double cached_after = decisions.admit(id, now_s);
-
-        // Growth of this object's prefix is origin->cache fill traffic.
-        if (measured && cached_after > cached_before) {
-          const double fill = cached_after - cached_before;
-          metrics.record_fill(fill);
-          couplings.record_fill(p, fill);
-        }
+      const double fill = decisions.settle(
+          id, view.path[id], outcome, now_s, now_s + outcome.origin_transfer_s,
+          fault_scale > 0.0, cached_before);
+      // Growth of this object's prefix is origin->cache fill traffic.
+      if (measured && fill > 0.0) {
+        metrics.record_fill(fill);
+        couplings.record_fill(p, fill);
       }
     }
   }
@@ -484,33 +501,16 @@ class RequestLoop {
                                 " outside the path model");
       }
     }
-    // Oracle / purely-active estimators discard observations; skip the
-    // per-transfer event traffic for them entirely (the queue stays
-    // empty, so tick() degenerates to one size check per request).
-    estimator_observes_ = units[0].decisions.observes();
     // Fault injection (net/fault.h): compile the plan once per run, for
     // each unit's scope. With an empty plan every unit's `faults` stays
     // null and every hook in consume() short-circuits on a constant
     // pointer/scale test, so the loop executes the exact pre-fault
     // expression stream — bit-identical results, golden-CSV enforced.
-    // The schedule seed is a tag-keyed fork of the run's root stream
-    // (fork() is const, so this perturbs nothing), making fault timing
-    // identical across engines, units and thread counts but independent
-    // across replications.
-    const bool faulty = !config.fault.empty();
-    const std::uint64_t fault_seed = faulty ? rng.fork("faults").seed() : 0;
+    // Fault timing is independent across replications (the seed is the
+    // run's).
     for (std::size_t p = 0; p < n_units; ++p) {
-      ProxyUnit& unit = units[p];
-      net::FaultSchedule& faults = unit.state->faults;
-      if (faulty) {
-        faults.compile(config.fault, model.size(), fault_seed,
-                       couplings_.fault_scope(p));
-        unit.faults = &faults;
-      } else {
-        faults.clear();
-        unit.faults = nullptr;
-      }
-      unit.decisions.set_faults(unit.faults);
+      units[p].bind_faults(config.fault, model.size(), rng,
+                           couplings_.fault_scope(p));
     }
     warm_count_ = static_cast<std::size_t>(
         static_cast<double>(total_requests_) * config.warmup_fraction);
@@ -547,7 +547,6 @@ class RequestLoop {
   std::size_t warm_count_ = 0;
   bool constant_bw_ = false;
   bool interactive_ = false;
-  bool estimator_observes_ = false;
 };
 
 /// Execute the full trace and return measured-window metrics: one

@@ -55,7 +55,8 @@ Simulator::Simulator(const workload::Workload& workload,
                            config_.estimator);
 }
 
-VirtualProxy make_virtual_proxy(const SimulationConfig& config,
+VirtualProxy make_virtual_proxy(const std::string& policy,
+                                const std::string& estimator,
                                 const workload::Catalog& catalog,
                                 const net::PathModel& model,
                                 const util::Rng& rng, std::size_t proxy) {
@@ -63,19 +64,26 @@ VirtualProxy make_virtual_proxy(const SimulationConfig& config,
   if (proxy > 0) tag += "#" + std::to_string(proxy);
   VirtualProxy out;
   out.estimator =
-      core::registry::make_estimator(config.estimator, model, rng.fork(tag));
-  out.policy =
-      core::registry::make_policy(config.policy, catalog, *out.estimator);
+      core::registry::make_estimator(estimator, model, rng.fork(tag));
+  out.policy = core::registry::make_policy(policy, catalog, *out.estimator);
   return out;
+}
+
+std::shared_ptr<const net::PathModel> make_scenario_model(
+    const std::string& scenario, std::size_t n_paths, std::uint64_t seed) {
+  const core::Scenario s = core::registry::make_scenario(scenario);
+  net::PathModelConfig config;
+  config.mode = s.mode;
+  return net::make_path_model(n_paths, s.base, s.ratio, config, seed);
 }
 
 SimulationResult Simulator::run() {
   const workload::Catalog& catalog = stream_.catalog();
   util::Rng rng(config_.seed);
-  auto model = std::make_shared<const net::PathModel>(
-      catalog.size(), base_, ratio_, config_.path_config, rng.fork("paths"));
-  const VirtualProxy proxy =
-      make_virtual_proxy(config_, catalog, *model, rng, 0);
+  std::shared_ptr<const net::PathModel> model = net::make_path_model(
+      catalog.size(), base_, ratio_, config_.path_config, config_.seed);
+  const VirtualProxy proxy = make_virtual_proxy(
+      config_.policy, config_.estimator, catalog, *model, rng, 0);
   RunState state;
   state.reset(catalog, std::move(model), config_.cache_capacity_bytes,
               config_.patching.enabled);

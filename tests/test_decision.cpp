@@ -22,9 +22,7 @@ std::shared_ptr<const net::PathModel> constant_paths(std::size_t n) {
   const core::Scenario s = core::registry::make_scenario("constant");
   net::PathModelConfig config;
   config.mode = s.mode;
-  util::Rng rng(7);
-  return std::make_shared<const net::PathModel>(n, s.base, s.ratio, config,
-                                                rng.fork("paths"));
+  return net::make_path_model(n, s.base, s.ratio, config, 7);
 }
 
 TEST(DecisionKernel, ObservesFollowsTheEstimator) {
@@ -67,16 +65,17 @@ TEST(DecisionKernel, TickDeliversObservationsInTimeOrder) {
 
   // Nothing due yet: the estimate is still the never-observed prior.
   kernel.tick(5.0);
-  EXPECT_DOUBLE_EQ(kernel.estimate(0, 5.0), 777.0);
+  EXPECT_DOUBLE_EQ(kernel.estimator().estimate(0, 5.0), 777.0);
 
   // First completion (the t=10 one, despite being scheduled second)
   // replaces the prior outright.
   kernel.tick(10.0);
-  EXPECT_DOUBLE_EQ(kernel.estimate(0, 10.0), 100.0);
+  EXPECT_DOUBLE_EQ(kernel.estimator().estimate(0, 10.0), 100.0);
 
   // Second completion folds in with alpha = 0.5.
   kernel.tick(30.0);
-  EXPECT_DOUBLE_EQ(kernel.estimate(0, 30.0), 0.5 * 200.0 + 0.5 * 100.0);
+  EXPECT_DOUBLE_EQ(kernel.estimator().estimate(0, 30.0),
+                   0.5 * 200.0 + 0.5 * 100.0);
   EXPECT_TRUE(events.empty());
 }
 
@@ -94,7 +93,7 @@ TEST(DecisionKernel, DrainFlushesRegardlessOfClock) {
   kernel.record_transfer(0, 111.0, 1e12);  // due in the far future
   kernel.drain();
   EXPECT_TRUE(events.empty());
-  EXPECT_DOUBLE_EQ(kernel.estimate(0, 0.0), 111.0);
+  EXPECT_DOUBLE_EQ(kernel.estimator().estimate(0, 0.0), 111.0);
 }
 
 TEST(DecisionKernel, AdmitRunsThePolicyAndReportsTheNewPrefix) {
@@ -118,6 +117,38 @@ TEST(DecisionKernel, AdmitRunsThePolicyAndReportsTheNewPrefix) {
   EXPECT_DOUBLE_EQ(after, kernel.cached(3));
   EXPECT_DOUBLE_EQ(after, store.cached(3));
   EXPECT_LE(after, catalog.object(3).size_bytes);
+}
+
+TEST(DecisionKernel, SettleObservesOriginTransfersThenAdmitsWhenFillable) {
+  net::PassiveEwmaEstimator ewma(4, 1.0, 777.0);
+  workload::CatalogConfig cat_cfg;
+  cat_cfg.num_objects = 4;
+  util::Rng cat_rng(3);
+  const auto catalog = workload::Catalog::generate(cat_cfg, cat_rng);
+  const auto policy = core::registry::make_policy("lru", catalog, ewma);
+  cache::PartialStore store(catalog.total_bytes());  // room for everything
+  store.reserve(catalog.size());
+  ObservationQueue events;
+  DecisionKernel kernel(*policy, ewma, store, events);
+
+  ServiceOutcome from_origin;
+  from_origin.bytes_from_origin = 10.0;
+  from_origin.origin_throughput = 50.0;
+  // The origin cannot back a fill: the observation is still deferred to
+  // the completion time, but no decision runs.
+  EXPECT_DOUBLE_EQ(kernel.settle(1, 1, from_origin, 1.0, 9.0, false, 0.0),
+                   0.0);
+  EXPECT_EQ(events.size(), 1u);
+  EXPECT_DOUBLE_EQ(kernel.cached(1), 0.0);
+  // A cache-only outcome defers nothing; the decision admits a prefix
+  // and settle returns its growth over the pre-decision prefix.
+  const double growth = kernel.settle(1, 1, ServiceOutcome{}, 2.0, 2.0, true,
+                                      kernel.cached(1));
+  EXPECT_EQ(events.size(), 1u);
+  EXPECT_GT(growth, 0.0);
+  EXPECT_DOUBLE_EQ(growth, kernel.cached(1));
+  kernel.tick(9.0);
+  EXPECT_DOUBLE_EQ(kernel.estimator().estimate(1, 9.0), 50.0);
 }
 
 }  // namespace

@@ -328,6 +328,38 @@ TEST(ProxyDaemon, AuditFrameReturnsACleanJsonReportOverTheWire) {
   daemon.stop();
 }
 
+TEST(ProxyDaemon, EveryOffsetZeroGetOpensANewSession) {
+  // A GET at offset 0 opens a session even when the connection was
+  // already streaming the same object: three offset-0 runs are three
+  // sessions, one multi-chunk run is one.
+  ServiceEngine engine(small_config());
+  ProxyDaemon daemon(engine);
+  daemon.start();
+  {
+    ProxyClient client("127.0.0.1", daemon.port());
+    for (int run = 0; run < 3; ++run) {
+      ASSERT_EQ(client.get(3, 0, 1024).status, wire::kOk);
+    }
+  }
+  // The connection thread closes the last session after the client
+  // hangs up; wait for it.
+  for (int i = 0; i < 500 && engine.snapshot().sessions < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(engine.snapshot().requests, 3u);
+  EXPECT_EQ(engine.snapshot().sessions, 3u);
+  {
+    ProxyClient client("127.0.0.1", daemon.port());
+    for (std::uint64_t off = 0; off < 3 * 1024; off += 1024) {
+      ASSERT_EQ(client.get(3, off, 1024).status, wire::kOk);
+    }
+  }
+  // stop() joins every connection thread, so the count is final.
+  daemon.stop();
+  EXPECT_EQ(engine.snapshot().requests, 6u);
+  EXPECT_EQ(engine.snapshot().sessions, 4u);
+}
+
 // ---------------------------------------------------------------- chaos
 
 TEST(ServiceEngine, OriginTimeoutMapsToTypedOriginDown) {
